@@ -270,8 +270,7 @@ Status Cluster::SealDeltaNow(int index) {
     auto gxid = dlog.Lookup(xmax);
     return !gxid.has_value() || *gxid < oldest_gxid;
   };
-  di->SealAndReclaim(&clog, seg->change_log(), dead);
-  return Status::OK();
+  return di->SealAndReclaim(&clog, seg->change_log(), dead).status();
 }
 
 StatusOr<int> Cluster::AddSegments(int count) {

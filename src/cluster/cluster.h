@@ -83,7 +83,7 @@ struct ClusterOptions {
   bool vectorized_execution_enabled = true;
 
   // Morsel-driven intra-slice parallelism: a vectorized AO-column scan with at
-  // least `vec_morsel_min_groups` sealed row groups splits the groups across
+  // least `vec_morsel_min_groups` row groups splits the groups across
   // this many decode workers (Hyrise-style), with an order-preserving merge.
   // <= 1 keeps scans single-threaded.
   int vec_morsel_workers = 1;

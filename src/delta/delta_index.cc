@@ -149,8 +149,9 @@ std::vector<DeltaIndex::TableStatus> DeltaIndex::TableStatuses() const {
   return out;
 }
 
-DeltaSealResult DeltaIndex::SealAndReclaim(const CommitLog* clog, ChangeLog* log,
-                                           const AoRowDeadFn& dead) {
+StatusOr<DeltaSealResult> DeltaIndex::SealAndReclaim(const CommitLog* clog,
+                                                     ChangeLog* log,
+                                                     const AoRowDeadFn& dead) {
   std::vector<DeltaStore*> stores;
   {
     std::shared_lock<std::shared_mutex> lk(stores_mu_);
@@ -160,7 +161,7 @@ DeltaSealResult DeltaIndex::SealAndReclaim(const CommitLog* clog, ChangeLog* log
   }
   DeltaSealResult total;
   for (DeltaStore* store : stores) {
-    DeltaSealResult sealed = store->SealCold(clog);
+    GPHTAP_ASSIGN_OR_RETURN(DeltaSealResult sealed, store->SealCold(clog));
     total.groups_sealed += sealed.groups_sealed;
     total.rows_sealed += sealed.rows_sealed;
     AoReclaimResult reclaimed = store->ReclaimDeadGroups(dead, log);

@@ -58,9 +58,10 @@ class DeltaIndex {
   std::vector<TableStatus> TableStatuses() const;
 
   /// One seal-daemon pass over every store: seal cold runs, then reclaim
-  /// all-dead groups, logging kFreeGroup records to `log`.
-  DeltaSealResult SealAndReclaim(const CommitLog* clog, ChangeLog* log,
-                                 const AoRowDeadFn& dead);
+  /// all-dead groups, logging kFreeGroup records to `log`. A seal error ends
+  /// the pass.
+  StatusOr<DeltaSealResult> SealAndReclaim(const CommitLog* clog, ChangeLog* log,
+                                           const AoRowDeadFn& dead);
 
  private:
   void FeedLoop();

@@ -3,13 +3,15 @@
 // shape: base rows stay in the row store, an in-memory column index absorbs
 // the update stream so analytics scan columns instead of pages).
 //
-// Layout mirrors AoColumnTable: rows accumulate in an open run of typed
-// ColumnVectors and are sealed into compressed 1024-row groups once every
-// creating transaction has decided. Group boundaries are purely positional
-// (row N of the log-apply order lands in group N/1024), so any replayer that
-// applies the same change log builds byte-identical groups — which is what
-// makes seal-daemon kFreeGroup records safe to replay on a mirror that has
-// not sealed yet (they defer in `pending_free_` until the group exists).
+// Rows live in ColumnGroups (storage/column_group.h), the same group format
+// as AO-column tables: open groups of typed ColumnVectors, sealed into
+// compressed blocks once every creating transaction has decided. Group
+// boundaries are purely positional (row N of the log-apply order lands in
+// group N/1024), so any replayer that applies the same change log builds
+// byte-identical groups — which is what makes seal-daemon kFreeGroup records
+// safe to replay on a mirror that has not sealed yet (they defer in
+// `pending_free_` until the group exists). The delta store's own state is
+// the heap-tid -> position map, the deferred frees and the truncate epoch.
 //
 // Concurrency: one feed thread applies log records (unique latch), the seal
 // daemon seals/reclaims (unique latch), any number of scans read under the
@@ -26,8 +28,8 @@
 #include "catalog/schema.h"
 #include "storage/ao_group.h"
 #include "storage/change_log.h"
+#include "storage/column_group.h"
 #include "storage/column_store.h"
-#include "storage/compression.h"
 #include "txn/clog.h"
 #include "txn/visibility.h"
 #include "vec/column_batch.h"
@@ -51,7 +53,7 @@ struct DeltaSealResult {
 class DeltaStore {
  public:
   /// One sealed group decompresses into exactly one ColumnBatch.
-  static constexpr size_t kGroupRows = ColumnBatch::kDefaultCapacity;
+  static constexpr size_t kGroupRows = ColumnGroup::kRows;
 
   explicit DeltaStore(TableDef def);
 
@@ -71,11 +73,12 @@ class DeltaStore {
   void ApplyFreeGroup(size_t group_index, uint64_t epoch);
 
   // ---- seal daemon ----------------------------------------------------------
-  /// Seals every complete kGroupRows prefix of the open run whose creating
-  /// transactions have all decided (committed or aborted) per `clog`; a null
-  /// clog seals unconditionally (replay rebuild / tests). Newly sealed groups
-  /// with a pending free are freed immediately.
-  DeltaSealResult SealCold(const CommitLog* clog);
+  /// Seals the leading full open groups whose creating transactions have all
+  /// decided (committed or aborted) per `clog`; a null clog seals
+  /// unconditionally (replay rebuild / tests). Newly sealed groups with a
+  /// pending free are freed immediately. A compression error stops the pass
+  /// and leaves the failing group open.
+  StatusOr<DeltaSealResult> SealCold(const CommitLog* clog);
 
   /// Frees every sealed group whose rows are all dead per `dead` ("dead to
   /// every snapshot"). Emits one kFreeGroup change record per freed group to
@@ -84,49 +87,30 @@ class DeltaStore {
   AoReclaimResult ReclaimDeadGroups(const AoRowDeadFn& dead, ChangeLog* log);
 
   // ---- scans ----------------------------------------------------------------
-  /// Vectorized scan of the whole store under `ctx`: sealed groups decompress
-  /// their touched columns into one batch each (selection vector = visible
-  /// rows), the open tail arrives as dense batches. The shared latch is held
-  /// across the scan, so the result is a consistent cut of the store.
-  /// `sealed_rows_scanned` / `open_rows_scanned` (may be null) accumulate the
+  /// Vectorized scan of the whole store under `ctx`: every group, sealed or
+  /// open, decodes its touched columns into one batch (selection vector =
+  /// visible rows). The shared latch is held across the scan, so the result
+  /// is a consistent cut of the store.
+  /// `sealed_scanned` / `open_scanned` (may be null) accumulate the
   /// visible row counts served from each part — the EXPLAIN per-store counts.
   Status ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,
-                     const BatchScanCallback& fn, uint64_t* sealed_rows_scanned,
-                     uint64_t* open_rows_scanned) const;
+                     const BatchScanCallback& fn, uint64_t* sealed_scanned,
+                     uint64_t* open_scanned) const;
 
   DeltaStoreStats Stats() const;
   const TableDef& def() const { return def_; }
 
  private:
-  struct SealedGroup {
-    std::vector<CompressedBlock> columns;  // one block per schema column
-    // Uncompressed per-row metadata; kept after a free so positions (and late
-    // xmax / free-slot marks) stay valid.
-    std::vector<TupleId> tids;
-    std::vector<LocalXid> xmins;
-    std::vector<LocalXid> xmaxs;
-    std::vector<uint8_t> dropped;  // heap slot vacuumed (dead to everyone)
-    bool freed = false;
-  };
-
-  // Global row position: sealed groups first (group*kGroupRows + offset), then
-  // the open run. Sealing moves the boundary but never renumbers a row.
   static constexpr size_t kNoPos = static_cast<size_t>(-1);
   size_t PositionOfLocked(TupleId tid) const;
-  void FreeGroupLocked(size_t gi);
 
   const TableDef def_;
 
   mutable std::shared_mutex latch_;
-  std::vector<SealedGroup> sealed_;
-  size_t freed_groups_ = 0;
-  // Open run: one ColumnVector per schema column plus parallel metadata.
-  std::vector<ColumnVector> open_cols_;
-  std::vector<TupleId> open_tids_;
-  std::vector<LocalXid> open_xmins_;
-  std::vector<LocalXid> open_xmaxs_;
-  std::vector<uint8_t> open_dropped_;
-  std::unordered_map<TupleId, size_t> tid_pos_;
+  // Sealed groups form a prefix; the open groups follow (only the last may be
+  // partial). A row's position is group * kGroupRows + slot and never changes.
+  std::vector<ColumnGroup> groups_;
+  std::unordered_map<TupleId, size_t> tid_pos_;  // heap tid -> row position
   std::set<size_t> pending_free_;  // group indexes freed before sealing here
   uint64_t truncate_epoch_ = 0;
   uint64_t deletes_ = 0;

@@ -34,6 +34,10 @@ Status AcquireScanLock(ExecContext& ctx, TableId table) {
   return locks.Acquire(ctx.owner, LockTag::Relation(table), LockMode::kAccessShare);
 }
 
+namespace {
+
+// EXPLAIN-facing physical store label for per-store row accounting. Distinct
+// from StorageKindName, which is the catalog's storage-clause spelling.
 const char* ScanStoreLabel(StorageKind kind) {
   switch (kind) {
     case StorageKind::kHeap:
@@ -47,8 +51,6 @@ const char* ScanStoreLabel(StorageKind kind) {
   }
   return "heap";
 }
-
-namespace {
 
 // ---------- helpers ----------
 
@@ -71,6 +73,8 @@ int64_t RowFootprint(const Row& row) {
 
 // ---------- node execution ----------
 // (Aggregation accumulators live in exec/agg_ops.h, shared with src/vec/.)
+
+}  // namespace
 
 Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
                       const RowSink& sink) {
@@ -113,6 +117,8 @@ Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
   if (!inner.ok()) return inner;
   return scan;
 }
+
+namespace {
 
 Status ExecIndexScan(const PlanNode& node, ExecContext& ctx, const RowSink& sink) {
   Table* table = nullptr;

@@ -28,10 +28,11 @@ Status TableForNode(ExecContext& ctx, TableId id, Table** out);
 /// transaction end per two-phase locking. Shared with src/vec/.
 Status AcquireScanLock(ExecContext& ctx, TableId table);
 
-/// EXPLAIN-facing physical store label ("heap", "ao-row", "ao-column",
-/// "external") for per-store row accounting. Shared with src/vec/. Distinct
-/// from StorageKindName, which is the catalog's storage-clause spelling.
-const char* ScanStoreLabel(StorageKind kind);
+/// Row-engine sequential scan of `table`: Tick per visible row, node.filter,
+/// per-store row accounting. Also the vectorized engine's scan fallback for
+/// tables it cannot read column-wise.
+Status ExecScanCommon(const PlanNode& node, ExecContext& ctx, Table* table,
+                      const RowSink& sink);
 
 struct QueryPlan {
   /// Shared + immutable so a cached plan can be executed by many statements

@@ -40,8 +40,9 @@ struct AoBloatStats {
   }
 };
 
-/// Classifies one stored row given its xmin and visimap xmax (kInvalidLocalXid
-/// when no delete is recorded). Two callers, two predicates:
+/// Classifies one stored row given its xmin and xmax (the AO-row visimap entry
+/// or the AO-column group's xmax slot; kInvalidLocalXid when no delete is
+/// recorded). Two callers, two predicates:
 ///   - bloat reporting passes "xmin aborted, or xmax committed";
 ///   - physical reclamation passes the stricter "dead to every snapshot"
 ///     (xmax additionally older than the distributed truncation horizon), the

@@ -1,17 +1,18 @@
 // Append-optimized column-oriented storage: each column lives in its own
 // stream of compressed blocks ("each column is allotted a separate file"),
-// so projected scans read only the touched columns (Section 3.4).
+// so projected scans read only the touched columns (Section 3.4). Rows live
+// in ColumnGroups (storage/column_group.h), the format the delta store uses
+// too; a delete writes the row's xmax slot in its group.
 #ifndef GPHTAP_STORAGE_COLUMN_STORE_H_
 #define GPHTAP_STORAGE_COLUMN_STORE_H_
 
 #include <atomic>
 #include <functional>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/ao_group.h"
-#include "storage/compression.h"
+#include "storage/column_group.h"
 #include "storage/table.h"
 #include "vec/column_batch.h"
 
@@ -22,11 +23,13 @@ using BatchScanCallback = std::function<bool(ColumnBatch&&)>;
 
 class AoColumnTable : public Table {
  public:
-  static constexpr size_t kRowGroupSize = 1024;
+  static constexpr size_t kRowGroupSize = ColumnGroup::kRows;
 
   explicit AoColumnTable(TableDef def);
 
   StatusOr<TupleId> Insert(LocalXid xid, const Row& row) override;
+  /// Row scans explode the decoded batches of ScanBatches into rows, tid =
+  /// group * kRowGroupSize + selected slot.
   Status Scan(const VisibilityContext& ctx, const ScanCallback& fn) override;
   Status ScanColumns(const VisibilityContext& ctx, const std::vector<int>& cols,
                      const ScanCallback& fn) override;
@@ -34,35 +37,30 @@ class AoColumnTable : public Table {
   uint64_t StoredVersionCount() const override;
   uint64_t BytesScanned() const override;
 
-  /// Vectorized scan: each sealed row group decompresses its touched columns
-  /// directly into one ColumnBatch whose selection vector holds the visible
-  /// rows (visibility checked once per group, not per tuple); the open
-  /// (unsealed) tail arrives as one final dense batch. Shares the visibility
-  /// logic with the row scans via GroupVisibility.
+  /// Vectorized scan: one ColumnBatch per row group (sealed groups and the
+  /// open tail alike) whose selection vector holds the visible rows. Groups
+  /// with no visible row are skipped.
   Status ScanBatches(const VisibilityContext& ctx, const std::vector<int>& cols,
                      const BatchScanCallback& fn);
 
-  /// Number of sealed row groups (the morsel count for parallel scans). The
-  /// snapshot is stable for a scan's purposes: groups sealed afterwards hold
-  /// rows the scan's snapshot cannot see.
-  size_t NumSealedGroups() const;
+  /// Number of row groups, sealed or open (the morsel count for parallel
+  /// scans). Groups added after a scan reads this hold rows its snapshot
+  /// cannot see.
+  size_t NumGroups() const;
 
-  /// Decodes one sealed group into `batch` (typed columns + visibility
-  /// selection), the per-morsel unit of work. Returns false — with `batch`
-  /// untouched — when the group is reclaimed or has no visible rows.
-  /// Thread-safe: any number of groups may decode concurrently.
-  StatusOr<bool> DecodeGroupBatch(size_t gi, const VisibilityContext& ctx,
-                                  const std::vector<int>& cols, ColumnBatch* batch);
-
-  /// Decodes the open (unsealed) tail as one dense batch. Returns false when
-  /// no open rows are visible.
-  StatusOr<bool> DecodeOpenTail(const VisibilityContext& ctx,
-                                const std::vector<int>& cols, ColumnBatch* batch);
+  /// Decodes group `gi` into `batch` (typed columns + visibility selection),
+  /// the per-morsel unit of work. Payload and delete marks are read under one
+  /// latch hold. Returns false — with `batch` untouched — when the group is
+  /// out of range, reclaimed or has no visible rows. Thread-safe: any number
+  /// of groups may decode concurrently.
+  StatusOr<bool> DecodeGroup(size_t gi, const VisibilityContext& ctx,
+                             const std::vector<int>& cols, ColumnBatch* batch);
 
   /// Compressed footprint of one column's sealed blocks, in bytes.
   uint64_t ColumnCompressedBytes(int col) const;
 
-  /// Visibility-map delete (see AoRowTable::MarkDeleted).
+  /// Delete: writes the row's xmax slot in its group (see
+  /// AoRowTable::MarkDeleted for the AO delete model).
   Status MarkDeleted(TupleId tid, LocalXid xid);
 
   /// Per-group occupancy under the caller's dead-row predicate (bloat
@@ -70,43 +68,17 @@ class AoColumnTable : public Table {
   std::vector<AoGroupInfo> GroupInfos(const AoRowDeadFn& dead) const;
 
   /// Frees every sealed group whose rows are all dead per `dead` ("dead to
-  /// every snapshot"): drops the compressed blocks and visibility column,
-  /// keeps the group slot so tids stay stable. One kFreeGroup record per
-  /// freed group. Callers hold ShareUpdateExclusiveLock.
+  /// every snapshot"): drops the compressed blocks and MVCC columns, keeps
+  /// the group slot so tids stay stable. One kFreeGroup record per freed
+  /// group. Callers hold ShareUpdateExclusiveLock.
   AoReclaimResult ReclaimDeadGroups(const AoRowDeadFn& dead);
 
   /// Replay-side free (crash recovery / mirrors): no change record emitted.
   Status ApplyFreeGroup(size_t group_index);
 
  private:
-  struct RowGroup {
-    std::vector<CompressedBlock> columns;  // one block per column
-    std::vector<LocalXid> xmins;           // uncompressed visibility column
-    bool reclaimed = false;                // blocks freed; slot kept for tids
-  };
-
-  // Seals the open group into compressed blocks. Requires latch_ held (unique).
-  void SealOpenGroupLocked();
-
-  // Frees group `gi`'s storage and visimap range. Requires latch_ held (unique).
-  void FreeGroupLocked(size_t gi);
-
-  // Computes per-row visibility for the tuple range [base_tid, base_tid +
-  // xmins.size()): one shared latch acquisition covers the whole group's
-  // visimap lookups. The single visibility path for row AND batch scans.
-  void GroupVisibility(TupleId base_tid, const std::vector<LocalXid>& xmins,
-                       const VisibilityContext& ctx,
-                       std::vector<uint8_t>* visible) const;
-
-  Status ScanImpl(const VisibilityContext& ctx, const std::vector<int>& cols,
-                  const ScanCallback& fn);
-
   mutable std::shared_mutex latch_;
-  std::vector<RowGroup> sealed_;
-  size_t reclaimed_groups_ = 0;
-  std::vector<Row> open_rows_;
-  std::vector<LocalXid> open_xmins_;
-  std::unordered_map<TupleId, LocalXid> visimap_;
+  std::vector<ColumnGroup> groups_;  // all sealed except possibly the last
   // Atomic: concurrent scans account under the shared latch.
   mutable std::atomic<uint64_t> bytes_scanned_{0};
 };

@@ -124,8 +124,8 @@ struct ColumnVector {
 };
 
 struct ColumnBatch {
-  /// Matches AoColumnTable::kRowGroupSize so one sealed row group decompresses
-  /// into exactly one batch.
+  /// Also the ColumnGroup size (storage/column_group.h), so one row group of
+  /// an AO-column table or the delta store decodes into exactly one batch.
   static constexpr size_t kDefaultCapacity = 1024;
 
   /// Parallel columns; every column has exactly `rows` entries.

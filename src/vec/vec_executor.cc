@@ -56,18 +56,15 @@ int64_t BatchRowFootprint(const ColumnBatch& b, int32_t r) {
   return bytes;
 }
 
-// Runs a child subtree as a batch producer: the vec path when the child is
-// marked, otherwise the row engine with rows packed into batches (the
-// vec-over-row fallback, counted in vec.fallbacks).
-Status ExecuteChildVec(const PlanNode& child, ExecContext& ctx, const BatchSink& sink) {
-  if (child.vectorize && VecEngineSupports(child.kind)) {
-    return ExecuteNodeVec(child, ctx, sink);
-  }
+// Packs the rows a row-engine producer emits into batches: the vec-over-row
+// fallback, counted in vec.fallbacks.
+Status PackRowsVec(ExecContext& ctx, const std::function<Status(const RowSink&)>& produce,
+                   const BatchSink& sink) {
   if (ctx.cluster != nullptr) ctx.cluster->metrics().counter("vec.fallbacks")->Add(1);
   if (ctx.resources != nullptr) ctx.resources->vec_fallbacks.fetch_add(1, std::memory_order_relaxed);
   ColumnBatch batch;
   bool shaped = false;
-  Status s = ExecuteNode(child, ctx, [&](Row&& row) -> Status {
+  Status s = produce([&](Row&& row) -> Status {
     if (!shaped) {
       batch.Reset(row.size());
       shaped = true;
@@ -87,64 +84,42 @@ Status ExecuteChildVec(const PlanNode& child, ExecContext& ctx, const BatchSink&
   return Status::OK();
 }
 
-// Row-scan fallback for a marked scan whose table turns out not to be an AO
-// column store (packs filtered rows into batches). Inlined here rather than
-// bouncing through ExecuteNode, which would re-enter the vec dispatch.
-Status ExecSeqScanVecFallback(const PlanNode& node, ExecContext& ctx, Table* table,
-                              const BatchSink& sink) {
-  if (ctx.cluster != nullptr) ctx.cluster->metrics().counter("vec.fallbacks")->Add(1);
-  if (ctx.resources != nullptr) ctx.resources->vec_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  VisibilityContext vis = ctx.Vis();
-  ColumnBatch batch;
-  bool shaped = false;
-  int64_t visible_rows = 0;
-  Status inner = Status::OK();
-  auto cb = [&](TupleId, const Row& row) -> bool {
-    Status t = ctx.Tick();
-    if (!t.ok()) {
-      inner = t;
-      return false;
-    }
-    ++visible_rows;
-    if (node.filter) {
-      auto pass = EvalPredicate(*node.filter, row);
-      if (!pass.ok()) {
-        inner = pass.status();
-        return false;
-      }
-      if (!*pass) return true;
-    }
-    if (!shaped) {
-      batch.Reset(row.size());
-      shaped = true;
-    }
-    batch.AppendRow(row);
-    if (batch.rows >= ColumnBatch::kDefaultCapacity) {
-      size_t ncols = batch.NumColumns();
-      ColumnBatch full = std::move(batch);
-      batch = ColumnBatch();
-      batch.Reset(ncols);
-      Status sk = sink(std::move(full));
-      if (!sk.ok()) {
-        inner = sk;
-        return false;
-      }
-    }
-    return true;
-  };
-  Status scan = node.scan_cols.empty() ? table->Scan(vis, cb)
-                                       : table->ScanColumns(vis, node.scan_cols, cb);
-  if (ctx.op_stats != nullptr && visible_rows > 0) {
-    ctx.op_stats->RecordStoreRows(node.node_id, ScanStoreLabel(table->def().storage),
-                                  visible_rows);
+// Runs a child subtree as a batch producer: the vec path when the child is
+// marked, otherwise the row engine with rows packed into batches.
+Status ExecuteChildVec(const PlanNode& child, ExecContext& ctx, const BatchSink& sink) {
+  if (child.vectorize && VecEngineSupports(child.kind)) {
+    return ExecuteNodeVec(child, ctx, sink);
   }
-  if (!inner.ok()) return inner;
-  GPHTAP_RETURN_IF_ERROR(scan);
-  if (batch.rows > 0) return sink(std::move(batch));
-  return Status::OK();
+  return PackRowsVec(
+      ctx, [&](const RowSink& rows) { return ExecuteNode(child, ctx, rows); }, sink);
 }
 
-// ---------- morsel-parallel sealed-group scan ----------
+// Drives one store's batch scan: Tick per batch, node.filter, and the sink
+// for batches with rows left. Adds the visible (pre-filter) row count to
+// `visible_rows` (may be null).
+Status DriveBatchScan(const PlanNode& node, ExecContext& ctx,
+                      const std::function<Status(const BatchScanCallback&)>& scan,
+                      const BatchSink& sink, int64_t* visible_rows) {
+  Status inner = Status::OK();
+  Status s = scan([&](ColumnBatch&& batch) -> bool {
+    // One Tick per batch amortizes cancellation checks and simulated-CPU
+    // charging over the whole group.
+    inner = ctx.Tick(static_cast<int>(batch.rows));
+    if (!inner.ok()) return false;
+    if (visible_rows != nullptr) *visible_rows += static_cast<int64_t>(batch.ActiveRows());
+    if (node.filter) {
+      inner = VecFilterBatch(*node.filter, &batch);
+      if (!inner.ok()) return false;
+    }
+    if (batch.ActiveRows() == 0) return true;
+    inner = sink(std::move(batch));
+    return inner.ok();
+  });
+  if (!inner.ok()) return inner;
+  return s;
+}
+
+// ---------- morsel-parallel row-group scan ----------
 //
 // Workers claim ascending group indexes from an atomic counter, decode +
 // filter them (both pure / latch-protected), and publish results into a
@@ -189,7 +164,7 @@ void MorselWorker(MorselQueue* q, AoColumnTable* aoc, const VisibilityContext vi
       }
     }
     auto batch = std::make_unique<ColumnBatch>();
-    auto decoded = aoc->DecodeGroupBatch(gi, vis, cols, batch.get());
+    auto decoded = aoc->DecodeGroup(gi, vis, cols, batch.get());
     Status st = decoded.ok() ? Status::OK() : decoded.status();
     bool skip = st.ok() && !*decoded;
     if (st.ok() && !skip) {
@@ -268,26 +243,10 @@ Status ExecSeqScanVecMorsel(const PlanNode& node, ExecContext& ctx, AoColumnTabl
   GPHTAP_RETURN_IF_ERROR(result);
 
   int64_t visible_rows = q.visible_rows.load(std::memory_order_relaxed);
-
-  // Open tail runs inline, after every sealed group, like the serial scan.
-  ColumnBatch tail;
-  auto decoded = aoc->DecodeOpenTail(vis, cols, &tail);
-  if (!decoded.ok()) return decoded.status();
-  Status tail_status = Status::OK();
-  if (*decoded) {
-    visible_rows += static_cast<int64_t>(tail.ActiveRows());
-    tail_status = ctx.Tick(static_cast<int>(tail.rows));
-    if (tail_status.ok() && node.filter) {
-      tail_status = VecFilterBatch(*node.filter, &tail);
-    }
-    if (tail_status.ok() && tail.ActiveRows() > 0) {
-      tail_status = sink(std::move(tail));
-    }
-  }
   if (ctx.op_stats != nullptr && visible_rows > 0) {
     ctx.op_stats->RecordStoreRows(node.node_id, "ao-column", visible_rows);
   }
-  return tail_status;
+  return Status::OK();
 }
 
 // Vectorized delta-merged scan of a heap table: wait for the delta feed to
@@ -333,31 +292,12 @@ Status ExecSeqScanDeltaMerged(const PlanNode& node, ExecContext& ctx,
   VisibilityContext vis = ctx.Vis();
   uint64_t sealed_rows = 0;
   uint64_t open_rows = 0;
-  Status inner = Status::OK();
-  Status scan = ds->ScanBatches(
-      vis, cols,
-      [&](ColumnBatch&& batch) -> bool {
-        Status t = ctx.Tick(static_cast<int>(batch.rows));
-        if (!t.ok()) {
-          inner = t;
-          return false;
-        }
-        if (node.filter) {
-          Status f = VecFilterBatch(*node.filter, &batch);
-          if (!f.ok()) {
-            inner = f;
-            return false;
-          }
-        }
-        if (batch.ActiveRows() == 0) return true;
-        Status s = sink(std::move(batch));
-        if (!s.ok()) {
-          inner = s;
-          return false;
-        }
-        return true;
+  Status scan = DriveBatchScan(
+      node, ctx,
+      [&](const BatchScanCallback& fn) {
+        return ds->ScanBatches(vis, cols, fn, &sealed_rows, &open_rows);
       },
-      &sealed_rows, &open_rows);
+      sink, nullptr);
   if (ctx.op_stats != nullptr) {
     ctx.op_stats->RecordStoreRows(node.node_id, "delta-merged",
                                   static_cast<int64_t>(sealed_rows + open_rows));
@@ -370,7 +310,6 @@ Status ExecSeqScanDeltaMerged(const PlanNode& node, ExecContext& ctx,
                                     static_cast<int64_t>(open_rows));
     }
   }
-  if (!inner.ok()) return inner;
   return scan;
 }
 
@@ -378,13 +317,13 @@ Status ExecSeqScanVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
   Table* table = nullptr;
   GPHTAP_RETURN_IF_ERROR(TableForNode(ctx, node.table, &table));
   GPHTAP_RETURN_IF_ERROR(AcquireScanLock(ctx, node.table));
+  std::vector<int> cols = node.scan_cols;
+  if (cols.empty()) {
+    cols.resize(table->schema().num_columns());
+    for (size_t i = 0; i < cols.size(); ++i) cols[i] = static_cast<int>(i);
+  }
   auto* aoc = dynamic_cast<AoColumnTable*>(table);
   if (aoc == nullptr) {
-    std::vector<int> cols = node.scan_cols;
-    if (cols.empty()) {
-      cols.resize(table->schema().num_columns());
-      for (size_t i = 0; i < cols.size(); ++i) cols[i] = static_cast<int>(i);
-    }
     if (dynamic_cast<HeapTable*>(table) != nullptr) {
       bool served = false;
       Status s = ExecSeqScanDeltaMerged(node, ctx, cols, sink, &served);
@@ -393,19 +332,17 @@ Status ExecSeqScanVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
         ctx.cluster->metrics().counter("delta.fallback_scans")->Add(1);
       }
     }
-    return ExecSeqScanVecFallback(node, ctx, table, sink);
+    // Tables without a column-wise reader scan on the row engine.
+    return PackRowsVec(
+        ctx, [&](const RowSink& rows) { return ExecScanCommon(node, ctx, table, rows); },
+        sink);
   }
 
-  std::vector<int> cols = node.scan_cols;
-  if (cols.empty()) {
-    cols.resize(table->schema().num_columns());
-    for (size_t i = 0; i < cols.size(); ++i) cols[i] = static_cast<int>(i);
-  }
   VisibilityContext vis = ctx.Vis();
 
   if (ctx.cluster != nullptr) {
     const ClusterOptions& opts = ctx.cluster->options();
-    size_t num_groups = aoc->NumSealedGroups();
+    size_t num_groups = aoc->NumGroups();
     if (opts.vec_morsel_workers > 1 && num_groups >= opts.vec_morsel_min_groups) {
       int workers = opts.vec_morsel_workers;
       if (static_cast<size_t>(workers) > num_groups) {
@@ -415,36 +352,14 @@ Status ExecSeqScanVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
     }
   }
 
-  Status inner = Status::OK();
   int64_t visible_rows = 0;
-  Status scan = aoc->ScanBatches(vis, cols, [&](ColumnBatch&& batch) -> bool {
-    // One Tick per batch amortizes cancellation checks and simulated-CPU
-    // charging over the whole group.
-    Status t = ctx.Tick(static_cast<int>(batch.rows));
-    if (!t.ok()) {
-      inner = t;
-      return false;
-    }
-    visible_rows += static_cast<int64_t>(batch.ActiveRows());
-    if (node.filter) {
-      Status f = VecFilterBatch(*node.filter, &batch);
-      if (!f.ok()) {
-        inner = f;
-        return false;
-      }
-    }
-    if (batch.ActiveRows() == 0) return true;
-    Status s = sink(std::move(batch));
-    if (!s.ok()) {
-      inner = s;
-      return false;
-    }
-    return true;
-  });
+  Status scan = DriveBatchScan(
+      node, ctx,
+      [&](const BatchScanCallback& fn) { return aoc->ScanBatches(vis, cols, fn); }, sink,
+      &visible_rows);
   if (ctx.op_stats != nullptr && visible_rows > 0) {
     ctx.op_stats->RecordStoreRows(node.node_id, "ao-column", visible_rows);
   }
-  if (!inner.ok()) return inner;
   return scan;
 }
 

@@ -87,9 +87,10 @@ TEST(DeltaStoreTest, SealBoundariesArePositional) {
   for (size_t i = 0; i < n; ++i) {
     ds.ApplyInsert(static_cast<TupleId>(i), 5, MakeRow(static_cast<int64_t>(i), "r"));
   }
-  DeltaSealResult sealed = ds.SealCold(&clog);
-  EXPECT_EQ(sealed.groups_sealed, 1u);
-  EXPECT_EQ(sealed.rows_sealed, DeltaStore::kGroupRows);
+  StatusOr<DeltaSealResult> sealed = ds.SealCold(&clog);
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(sealed->groups_sealed, 1u);
+  EXPECT_EQ(sealed->rows_sealed, DeltaStore::kGroupRows);
   DeltaStoreStats st = ds.Stats();
   EXPECT_EQ(st.sealed_groups, 1u);
   EXPECT_EQ(st.open_rows, 500u);
@@ -121,9 +122,9 @@ TEST(DeltaStoreTest, SealWaitsForUndecidedTransactions) {
     ds.ApplyInsert(static_cast<TupleId>(i), 9, MakeRow(static_cast<int64_t>(i), "x"));
   }
   // Creating transaction still in progress: the group is not cold yet.
-  EXPECT_EQ(ds.SealCold(&clog).groups_sealed, 0u);
+  EXPECT_EQ(ds.SealCold(&clog)->groups_sealed, 0u);
   clog.SetState(9, TxnState::kCommitted);
-  EXPECT_EQ(ds.SealCold(&clog).groups_sealed, 1u);
+  EXPECT_EQ(ds.SealCold(&clog)->groups_sealed, 1u);
 }
 
 TEST(DeltaStoreTest, TidReuseAfterVacuumKeepsLatestRow) {
@@ -161,7 +162,7 @@ TEST(DeltaStoreTest, ReclaimEmitsReplayableFreeGroup) {
   for (size_t i = 0; i < DeltaStore::kGroupRows; ++i) {
     ds.ApplyInsert(static_cast<TupleId>(i), 2, MakeRow(static_cast<int64_t>(i), "d"));
   }
-  ASSERT_EQ(ds.SealCold(&clog).groups_sealed, 1u);
+  ASSERT_EQ(ds.SealCold(&clog)->groups_sealed, 1u);
   for (size_t i = 0; i < DeltaStore::kGroupRows; ++i) {
     ds.ApplyDelete(static_cast<TupleId>(i), 3);
   }
@@ -206,7 +207,7 @@ TEST(DeltaStoreTest, FreeGroupBeforeSealDefersUntilGroupForms) {
     log.Append(ChangeRecord{ChangeKind::kInsert, def.id, static_cast<TupleId>(i),
                             kInvalidTupleId, 2, std::move(row), kInvalidGxid});
   }
-  ASSERT_EQ(primary.SealCold(&clog).groups_sealed, 1u);
+  ASSERT_EQ(primary.SealCold(&clog)->groups_sealed, 1u);
   for (size_t i = 0; i < DeltaStore::kGroupRows; ++i) {
     primary.ApplyDelete(static_cast<TupleId>(i), 3);
     log.Append(ChangeRecord{ChangeKind::kSetXmax, def.id, static_cast<TupleId>(i),
@@ -245,7 +246,7 @@ TEST(DeltaStoreTest, FreeGroupBeforeSealDefersUntilGroupForms) {
 
   // Sealing forms group 0 with identical positional boundaries; the pending
   // free lands immediately and the replica converges with the primary.
-  mirror.SealCold(nullptr);
+  ASSERT_TRUE(mirror.SealCold(nullptr).ok());
   st = mirror.Stats();
   EXPECT_EQ(st.sealed_groups, 1u);
   EXPECT_EQ(st.pending_frees, 0u);
@@ -268,7 +269,7 @@ TEST(DeltaStoreTest, StaleEpochFreeIgnoredAcrossTruncate) {
   for (size_t i = 0; i < DeltaStore::kGroupRows; ++i) {
     ds.ApplyInsert(static_cast<TupleId>(i), 2, MakeRow(static_cast<int64_t>(i), "e"));
   }
-  ASSERT_EQ(ds.SealCold(&clog).groups_sealed, 1u);
+  ASSERT_EQ(ds.SealCold(&clog)->groups_sealed, 1u);
   // ...must not free the post-truncate group of the same index.
   ds.ApplyFreeGroup(0, /*epoch=*/0);
   EXPECT_EQ(ds.Stats().freed_groups, 0u);

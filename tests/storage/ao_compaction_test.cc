@@ -2,10 +2,12 @@
 // append-optimized storage kinds: GroupInfos occupancy (the gp_segment_status
 // bloat source and the VACUUM compaction trigger), whole-group reclamation
 // under the "dead to every snapshot" predicate, tid stability across freed
-// slots, and kFreeGroup change-record emission.
+// slots, kFreeGroup change-record emission, and scans racing reclamation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
 
 #include "storage/ao_table.h"
 #include "storage/column_store.h"
@@ -193,6 +195,48 @@ TEST_F(AoCompactionTest, ColumnStoreReclaimAndOccupancy) {
   infos = t.GroupInfos(Dead());
   EXPECT_TRUE(infos[0].freed);
   EXPECT_EQ(infos[0].rows, 0u);
+}
+
+// A reclaim pass racing a scan must never resurrect rows whose delete
+// committed before the scan's snapshot: a group's rows and its delete marks
+// are read together, so a concurrent free either hides the whole group or
+// leaves its marks in place. (AO VACUUM's ShareUpdateExclusiveLock does not
+// conflict with a scan's AccessShareLock, so this interleaving is legal.)
+TEST_F(AoCompactionTest, ScanRacingReclaimNeverReturnsDeletedRows) {
+  constexpr int kIterations = 300;
+  constexpr size_t kRows = 4 * AoColumnTable::kRowGroupSize;
+  const LocalXid w = BeginCommitted();
+  const LocalXid d = BeginCommitted();
+  uint64_t leaked_rows = 0;
+  uint64_t leaked_batches = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    AoColumnTable t(ColDef());
+    for (size_t r = 0; r < kRows; ++r) {
+      ASSERT_TRUE(t.Insert(w, Row{Datum(static_cast<int64_t>(r))}).ok());
+    }
+    for (TupleId tid = 0; tid < kRows; ++tid) ASSERT_TRUE(t.MarkDeleted(tid, d).ok());
+    std::atomic<bool> go{false};
+    std::thread reclaimer([&] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      t.ReclaimDeadGroups(Dead());
+    });
+    go.store(true, std::memory_order_release);
+    if (i % 2 == 0) {
+      ASSERT_TRUE(t.Scan(Ctx(), [&](TupleId, const Row&) {
+                     ++leaked_rows;
+                     return true;
+                   }).ok());
+    } else {
+      ASSERT_TRUE(t.ScanBatches(Ctx(), {0}, [&](ColumnBatch&&) {
+                     ++leaked_batches;
+                     return true;
+                   }).ok());
+    }
+    reclaimer.join();
+  }
+  EXPECT_EQ(leaked_rows, 0u);
+  EXPECT_EQ(leaked_batches, 0u);
 }
 
 }  // namespace

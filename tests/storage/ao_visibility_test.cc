@@ -1,7 +1,7 @@
 // Regression tests for the ScanColumns / ScanBatches / MarkDeleted visibility
 // interaction on AO-column tables: partially-filled open groups, fully-deleted
-// sealed groups, aborted deleters, and row-vs-batch scan equivalence (both
-// paths share AoColumnTable::GroupVisibility).
+// sealed groups, aborted deleters, and row-vs-batch scan equivalence (the row
+// scan explodes the batches of the one ColumnGroup::Decode path).
 #include <gtest/gtest.h>
 
 #include <set>
