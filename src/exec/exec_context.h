@@ -33,6 +33,12 @@ struct ExecContext {
   ResourceGroup* group = nullptr;       // may be null (resource groups off)
   QueryMemoryAccount* mem = nullptr;    // may be null
 
+  // Query memory is taken from `mem` in chunks of this size and handed out
+  // from the slice-local remainder, so most ReserveMem calls touch no shared
+  // pool (Greenplum's vmem tracker likewise counts in chunks).
+  static constexpr int64_t kMemChunkBytes = 1 << 20;
+  int64_t mem_chunk_left = 0;  // reserved from `mem`, not yet handed out
+
   // Simulated CPU work per row processed, charged to `group`.
   int64_t cpu_ns_per_row = 0;
   int64_t pending_cpu_ns = 0;  // accumulated, flushed in Tick batches
@@ -97,6 +103,26 @@ struct ExecContext {
         pending_cpu_ns = 0;
       }
     }
+    return Status::OK();
+  }
+
+  /// Reserves `bytes` of query memory for this slice; kResourceExhausted
+  /// cancels the query. A chunk that does not fit is retried with the exact
+  /// shortfall, so only a real need beyond the pools cancels. No-op when
+  /// `mem` is null.
+  Status ReserveMem(int64_t bytes) {
+    if (mem == nullptr || bytes <= 0) return Status::OK();
+    if (bytes <= mem_chunk_left) {
+      mem_chunk_left -= bytes;
+      return Status::OK();
+    }
+    const int64_t shortfall = bytes - mem_chunk_left;
+    if (shortfall < kMemChunkBytes && mem->TryReserve(kMemChunkBytes)) {
+      mem_chunk_left = kMemChunkBytes - shortfall;
+      return Status::OK();
+    }
+    GPHTAP_RETURN_IF_ERROR(mem->Reserve(shortfall));
+    mem_chunk_left = 0;
     return Status::OK();
   }
 

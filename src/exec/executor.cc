@@ -153,14 +153,9 @@ Status ExecHashJoin(const PlanNode& node, ExecContext& ctx, const RowSink& sink)
   // Build side = children[1] (inner), fully materialized first — this is also
   // the Appendix-B network-deadlock prophylactic.
   std::unordered_multimap<uint64_t, Row> build;
-  int64_t reserved = 0;
   Status st = ExecuteNode(*node.children[1], ctx, [&](Row&& row) -> Status {
     if (KeysHaveNull(row, node.right_keys)) return Status::OK();
-    int64_t bytes = RowFootprint(row);
-    if (ctx.mem != nullptr) {
-      GPHTAP_RETURN_IF_ERROR(ctx.mem->Reserve(bytes));
-      reserved += bytes;
-    }
+    GPHTAP_RETURN_IF_ERROR(ctx.ReserveMem(RowFootprint(row)));
     build.emplace(HashKeys(row, node.right_keys), std::move(row));
     return Status::OK();
   });
@@ -213,7 +208,7 @@ Status ExecNestLoop(const PlanNode& node, ExecContext& ctx, const RowSink& sink)
   if (node.prefetch_inner) {
     // Safe order: drain the inner motion entirely before touching the outer.
     GPHTAP_RETURN_IF_ERROR(ExecuteNode(*node.children[1], ctx, [&](Row&& row) -> Status {
-      if (ctx.mem != nullptr) GPHTAP_RETURN_IF_ERROR(ctx.mem->Reserve(RowFootprint(row)));
+      GPHTAP_RETURN_IF_ERROR(ctx.ReserveMem(RowFootprint(row)));
       inner.push_back(std::move(row));
       return Status::OK();
     }));
@@ -255,9 +250,9 @@ Status ExecHashAgg(const PlanNode& node, ExecContext& ctx, const RowSink& sink) 
       for (int c : cols) g.key.push_back(row[static_cast<size_t>(c)]);
       g.states.resize(node.aggs.size());
       // Memory grows with the number of groups, not the number of input rows.
-      if (ctx.mem != nullptr && mem_status.ok()) {
-        mem_status = ctx.mem->Reserve(RowFootprint(g.key) +
-                                      64 * static_cast<int64_t>(node.aggs.size()));
+      if (mem_status.ok()) {
+        mem_status = ctx.ReserveMem(RowFootprint(g.key) +
+                                    64 * static_cast<int64_t>(node.aggs.size()));
       }
       it = groups.emplace(std::move(key), std::move(g)).first;
     }
@@ -317,7 +312,7 @@ Status ExecHashAgg(const PlanNode& node, ExecContext& ctx, const RowSink& sink) 
 Status ExecSort(const PlanNode& node, ExecContext& ctx, const RowSink& sink) {
   std::vector<Row> rows;
   GPHTAP_RETURN_IF_ERROR(ExecuteNode(*node.children[0], ctx, [&](Row&& row) -> Status {
-    if (ctx.mem != nullptr) GPHTAP_RETURN_IF_ERROR(ctx.mem->Reserve(RowFootprint(row)));
+    GPHTAP_RETURN_IF_ERROR(ctx.ReserveMem(RowFootprint(row)));
     rows.push_back(std::move(row));
     return Status::OK();
   }));

@@ -406,25 +406,61 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
       }
     }
 
-    auto needs_motion = [&](const RelState& rel,
-                            const std::vector<int>& join_cols) -> bool {
-      if (rel.replicated) return false;
-      if (rel.hash_dist.empty()) return true;
-      // Collocated iff its hash distribution equals the join key set.
-      std::set<int> dist(rel.hash_dist.begin(), rel.hash_dist.end());
-      std::set<int> keys(join_cols.begin(), join_cols.end());
-      return dist != keys;
+    // Join rows meet on one segment without a motion only when distribution
+    // key j of one side is joined to distribution key j of the other, for
+    // every j: the hash runs over the keys in distribution order. partners()
+    // maps `rel`'s distribution keys through the join-key pairs to the other
+    // side's columns, in that order; empty when `rel` is not covered (no hash
+    // distribution, or a distribution key that is not a join key).
+    auto partners = [](const RelState& rel, const std::vector<int>& own_keys,
+                       const std::vector<int>& other_keys) -> std::vector<int> {
+      if (rel.replicated || rel.hash_dist.empty()) return {};
+      std::vector<int> out;
+      for (int d : rel.hash_dist) {
+        auto it = std::find(own_keys.begin(), own_keys.end(), d);
+        if (it == own_keys.end()) return {};
+        out.push_back(other_keys[static_cast<size_t>(it - own_keys.begin())]);
+      }
+      return out;
+    };
+    auto paired = [&]() -> bool {
+      if (current.hash_dist.empty() || current.hash_dist.size() != next.hash_dist.size()) {
+        return false;
+      }
+      for (size_t j = 0; j < current.hash_dist.size(); ++j) {
+        bool found = false;
+        for (size_t k = 0; k < left_keys_combined.size() && !found; ++k) {
+          found = left_keys_combined[k] == current.hash_dist[j] &&
+                  right_keys_combined[k] == next.hash_dist[j];
+        }
+        if (!found) return false;
+      }
+      return true;
     };
 
     if (!left_keys_combined.empty()) {
-      // Hash join. Decide motions. A replicated side is collocated with
-      // anything, so joins against it never move data.
-      bool left_motion = needs_motion(current, left_keys_combined);
-      bool right_motion = needs_motion(next, right_keys_combined);
-      if (current.replicated || next.replicated) {
-        left_motion = false;
-        right_motion = false;
+      // Hash join. Decide motions: the keys each side is redistributed on,
+      // empty when it stays put. A replicated side is collocated with
+      // anything, so joins against it never move data. A covered side stays
+      // and the other side is hashed on its partner columns; the probe side
+      // stays when both are covered.
+      std::vector<int> left_motion_keys, right_motion_keys;
+      if (!current.replicated && !next.replicated && !paired()) {
+        std::vector<int> left_partners =
+            partners(current, left_keys_combined, right_keys_combined);
+        std::vector<int> right_partners =
+            partners(next, right_keys_combined, left_keys_combined);
+        if (!left_partners.empty()) {
+          right_motion_keys = std::move(left_partners);
+        } else if (!right_partners.empty()) {
+          left_motion_keys = std::move(right_partners);
+        } else {
+          left_motion_keys = left_keys_combined;
+          right_motion_keys = right_keys_combined;
+        }
       }
+      bool left_motion = !left_motion_keys.empty();
+      bool right_motion = !right_motion_keys.empty();
       bool broadcast_right = false;
       if (opts.use_orca && (left_motion || right_motion) &&
           next.rows * 10 < current.rows) {
@@ -450,8 +486,11 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
           rel.replicated = false;
         }
       };
-      if (left_motion) add_motion(current, left_keys_combined, false);
-      if (right_motion) add_motion(next, right_keys_combined, broadcast_right);
+      if (left_motion) add_motion(current, left_motion_keys, false);
+      if (right_motion) {
+        add_motion(next, broadcast_right ? right_keys_combined : right_motion_keys,
+                   broadcast_right);
+      }
 
       auto join = std::make_unique<PlanNode>();
       join->kind = PlanKind::kHashJoin;

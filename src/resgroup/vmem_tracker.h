@@ -56,7 +56,11 @@ class QueryMemoryAccount {
 
   /// Reserves `bytes` through the slot -> group-shared -> global-shared layers.
   /// kResourceExhausted when all three are spent: the query must be cancelled.
+  /// All or nothing: a failed reservation leaves no bytes reserved.
   Status Reserve(int64_t bytes);
+  /// Reserve without the cancellation: false when the bytes do not fit, so
+  /// the caller may retry with less. Not counted in resgroup.vmem_cancels.
+  bool TryReserve(int64_t bytes);
   void ReleaseAll();
 
   int64_t used_bytes() const { return slot_used() + group_shared_used() + global_used(); }

@@ -64,10 +64,22 @@ StatusOr<bool> ColumnGroup::Decode(const VisibilityContext& ctx, const std::vect
   if (freed_) return false;
   std::vector<int32_t> sel;
   sel.reserve(rows());
+  // Rows come in runs of equal (xmin, xmax) — a group loaded by one
+  // transaction is one run — so visibility is decided once per run; every
+  // call reads the shared clog and distributed log.
+  bool have_run = false;
+  bool run_visible = false;
+  LocalXid run_xmin = kInvalidLocalXid;
+  LocalXid run_xmax = kInvalidLocalXid;
   for (size_t r = 0; r < rows(); ++r) {
-    if (!dropped_[r] && TupleVisible(xmins_[r], xmaxs_[r], ctx)) {
-      sel.push_back(static_cast<int32_t>(r));
+    if (dropped_[r]) continue;
+    if (!have_run || xmins_[r] != run_xmin || xmaxs_[r] != run_xmax) {
+      have_run = true;
+      run_xmin = xmins_[r];
+      run_xmax = xmaxs_[r];
+      run_visible = TupleVisible(run_xmin, run_xmax, ctx);
     }
+    if (run_visible) sel.push_back(static_cast<int32_t>(r));
   }
   if (sel.empty()) return false;
   ColumnBatch batch;
@@ -78,9 +90,7 @@ StatusOr<bool> ColumnGroup::Decode(const VisibilityContext& ctx, const std::vect
     if (sealed_) {
       const CompressedBlock& block = blocks_[c];
       bytes += block.bytes.size();
-      GPHTAP_ASSIGN_OR_RETURN(std::vector<Datum> values, DecompressColumn(block));
-      // Decompressed values adopt the unboxed typed layout.
-      batch.columns[k].AdoptDatums(std::move(values), block.type);
+      GPHTAP_RETURN_IF_ERROR(DecompressInto(block, &batch.columns[k]));
     } else {
       bytes += 16 * sel.size();
       batch.columns[k] = open_[c];

@@ -1,6 +1,8 @@
 #include "storage/compression.h"
 
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <unordered_map>
 
 namespace gphtap {
@@ -17,21 +19,6 @@ void PutVarint(std::vector<uint8_t>* out, uint64_t v) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
-bool GetVarint(const std::vector<uint8_t>& in, size_t* pos, uint64_t* v) {
-  uint64_t result = 0;
-  int shift = 0;
-  while (*pos < in.size() && shift <= 63) {
-    uint8_t b = in[(*pos)++];
-    result |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) {
-      *v = result;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
 uint64_t ZigzagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }
@@ -45,28 +32,10 @@ void PutString(std::vector<uint8_t>* out, const std::string& s) {
   out->insert(out->end(), s.begin(), s.end());
 }
 
-bool GetString(const std::vector<uint8_t>& in, size_t* pos, std::string* s) {
-  uint64_t len;
-  if (!GetVarint(in, pos, &len)) return false;
-  if (*pos + len > in.size()) return false;
-  s->assign(reinterpret_cast<const char*>(in.data()) + *pos, len);
-  *pos += len;
-  return true;
-}
-
 void PutDouble(std::vector<uint8_t>* out, double d) {
   uint64_t bits;
   std::memcpy(&bits, &d, 8);
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(bits >> (8 * i)));
-}
-
-bool GetDouble(const std::vector<uint8_t>& in, size_t* pos, double* d) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= static_cast<uint64_t>(in[*pos + i]) << (8 * i);
-  *pos += 8;
-  std::memcpy(d, &bits, 8);
-  return true;
 }
 
 // ---------- null bitmap ----------
@@ -78,17 +47,6 @@ void PutNullBitmap(std::vector<uint8_t>* out, const std::vector<Datum>& values) 
   for (size_t i = 0; i < values.size(); ++i) {
     if (values[i].is_null()) (*out)[start + i / 8] |= static_cast<uint8_t>(1u << (i % 8));
   }
-}
-
-std::vector<bool> GetNullBitmap(const std::vector<uint8_t>& in, size_t* pos,
-                                uint32_t count) {
-  std::vector<bool> nulls(count, false);
-  size_t nbytes = (count + 7) / 8;
-  for (uint32_t i = 0; i < count && *pos + i / 8 < in.size(); ++i) {
-    nulls[i] = (in[*pos + i / 8] >> (i % 8)) & 1;
-  }
-  *pos += nbytes;
-  return nulls;
 }
 
 void PutValue(std::vector<uint8_t>* out, const Datum& d, TypeId type) {
@@ -105,44 +63,10 @@ void PutValue(std::vector<uint8_t>* out, const Datum& d, TypeId type) {
   }
 }
 
-bool GetValue(const std::vector<uint8_t>& in, size_t* pos, TypeId type, Datum* d) {
-  switch (type) {
-    case TypeId::kInt64: {
-      uint64_t v;
-      if (!GetVarint(in, pos, &v)) return false;
-      *d = Datum(ZigzagDecode(v));
-      return true;
-    }
-    case TypeId::kDouble: {
-      double v;
-      if (!GetDouble(in, pos, &v)) return false;
-      *d = Datum(v);
-      return true;
-    }
-    case TypeId::kString: {
-      std::string s;
-      if (!GetString(in, pos, &s)) return false;
-      *d = Datum(std::move(s));
-      return true;
-    }
-  }
-  return false;
-}
-
 // ---------- codec payloads (operate on the non-null values, in order) ----------
 
 void EncodeRaw(const std::vector<Datum>& nn, TypeId type, std::vector<uint8_t>* out) {
   for (const Datum& d : nn) PutValue(out, d, type);
-}
-
-bool DecodeRaw(const std::vector<uint8_t>& in, size_t* pos, TypeId type, size_t n,
-               std::vector<Datum>* out) {
-  for (size_t i = 0; i < n; ++i) {
-    Datum d;
-    if (!GetValue(in, pos, type, &d)) return false;
-    out->push_back(std::move(d));
-  }
-  return true;
 }
 
 void EncodeRle(const std::vector<Datum>& nn, TypeId type, std::vector<uint8_t>* out) {
@@ -156,19 +80,6 @@ void EncodeRle(const std::vector<Datum>& nn, TypeId type, std::vector<uint8_t>* 
   }
 }
 
-bool DecodeRle(const std::vector<uint8_t>& in, size_t* pos, TypeId type, size_t n,
-               std::vector<Datum>* out) {
-  while (out->size() < n) {
-    uint64_t run;
-    Datum d;
-    if (!GetVarint(in, pos, &run)) return false;
-    if (!GetValue(in, pos, type, &d)) return false;
-    if (run == 0 || out->size() + run > n) return false;
-    for (uint64_t k = 0; k < run; ++k) out->push_back(d);
-  }
-  return true;
-}
-
 void EncodeDelta(const std::vector<Datum>& nn, std::vector<uint8_t>* out) {
   int64_t prev = 0;
   for (const Datum& d : nn) {
@@ -176,18 +87,6 @@ void EncodeDelta(const std::vector<Datum>& nn, std::vector<uint8_t>* out) {
     PutVarint(out, ZigzagEncode(v - prev));
     prev = v;
   }
-}
-
-bool DecodeDelta(const std::vector<uint8_t>& in, size_t* pos, size_t n,
-                 std::vector<Datum>* out) {
-  int64_t prev = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t z;
-    if (!GetVarint(in, pos, &z)) return false;
-    prev += ZigzagDecode(z);
-    out->push_back(Datum(prev));
-  }
-  return true;
 }
 
 void EncodeDict(const std::vector<Datum>& nn, TypeId type, std::vector<uint8_t>* out) {
@@ -209,24 +108,185 @@ void EncodeDict(const std::vector<Datum>& nn, TypeId type, std::vector<uint8_t>*
   for (uint64_t c : codes) PutVarint(out, c);
 }
 
-bool DecodeDict(const std::vector<uint8_t>& in, size_t* pos, TypeId type, size_t n,
-                std::vector<Datum>* out) {
-  uint64_t dict_size;
-  if (!GetVarint(in, pos, &dict_size)) return false;
-  std::vector<Datum> dict;
-  dict.reserve(dict_size);
-  for (uint64_t i = 0; i < dict_size; ++i) {
-    Datum d;
-    if (!GetValue(in, pos, type, &d)) return false;
-    dict.push_back(std::move(d));
+// ---------- decoding ----------
+//
+// Every read is bounds-checked against the block, so a truncated or corrupt
+// block fails with InvalidArgument instead of reading past its end.
+
+// Cursor over an encoded byte range.
+struct Reader {
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+  size_t pos = 0;
+
+  size_t remaining() const { return size - pos; }
+
+  bool Varint(uint64_t* v) {
+    uint64_t result = 0;
+    for (int shift = 0; pos < size && shift <= 63; shift += 7) {
+      const uint8_t b = data[pos++];
+      result |= static_cast<uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) {
+        *v = result;
+        return true;
+      }
+    }
+    return false;
   }
+};
+
+// One value of each payload type, in the PutValue encoding.
+bool Get(Reader* in, int64_t* v) {
+  uint64_t z;
+  if (!in->Varint(&z)) return false;
+  *v = ZigzagDecode(z);
+  return true;
+}
+
+bool Get(Reader* in, double* v) {
+  if (in->remaining() < 8) return false;
+  uint64_t bits = 0;
+  for (int i = 0; i < 8; ++i) bits |= static_cast<uint64_t>(in->data[in->pos + i]) << (8 * i);
+  in->pos += 8;
+  std::memcpy(v, &bits, 8);
+  return true;
+}
+
+bool Get(Reader* in, Datum* v) {
+  uint64_t len;
+  if (!in->Varint(&len) || len > in->remaining()) return false;
+  *v = Datum(std::string(reinterpret_cast<const char*>(in->data) + in->pos, len));
+  in->pos += len;
+  return true;
+}
+
+Status LzDecode(Reader* in, std::vector<uint8_t>* out) {
+  constexpr size_t kMinMatch = 4;
+  uint64_t total;
+  if (!in->Varint(&total)) return Status::InvalidArgument("lz: bad header");
+  // One input byte expands to at most one maximal match (0x7f + kMinMatch
+  // bytes); a corrupt header must not size the reservation.
+  out->reserve(std::min<uint64_t>(total, in->remaining() * (0x7f + kMinMatch)));
+  while (out->size() < total) {
+    if (in->remaining() == 0) return Status::InvalidArgument("lz: truncated stream");
+    const uint8_t t = in->data[in->pos++];
+    if (t < 0x80) {
+      const size_t run = static_cast<size_t>(t) + 1;
+      if (run > in->remaining()) return Status::InvalidArgument("lz: bad literal run");
+      out->insert(out->end(), in->data + in->pos, in->data + in->pos + run);
+      in->pos += run;
+    } else {
+      const size_t len = static_cast<size_t>(t & 0x7f) + kMinMatch;
+      uint64_t dist;
+      if (!in->Varint(&dist)) return Status::InvalidArgument("lz: bad distance");
+      if (dist == 0 || dist > out->size()) {
+        return Status::InvalidArgument("lz: distance out of range");
+      }
+      const size_t start = out->size() - dist;
+      for (size_t k = 0; k < len; ++k) out->push_back((*out)[start + k]);  // may overlap
+    }
+  }
+  if (out->size() != total) return Status::InvalidArgument("lz: size mismatch");
+  return Status::OK();
+}
+
+// The codec decoders: each appends the block's `n` non-NULL values, in order,
+// to `out` as the payload type T (int64_t, double, or a string Datum).
+
+template <typename T>
+bool DecodeRaw(Reader* in, size_t n, std::vector<T>* out) {
+  for (size_t i = 0; i < n; ++i) {
+    T v;
+    if (!Get(in, &v)) return false;
+    out->push_back(std::move(v));
+  }
+  return true;
+}
+
+template <typename T>
+bool DecodeRle(Reader* in, size_t n, std::vector<T>* out) {
+  while (out->size() < n) {
+    uint64_t run;
+    T v;
+    if (!in->Varint(&run) || !Get(in, &v)) return false;
+    if (run == 0 || run > n - out->size()) return false;
+    out->insert(out->end(), run, v);
+  }
+  return true;
+}
+
+bool DecodeDelta(Reader* in, size_t n, std::vector<int64_t>* out) {
+  int64_t prev = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t z;
+    if (!in->Varint(&z)) return false;
+    prev += ZigzagDecode(z);
+    out->push_back(prev);
+  }
+  return true;
+}
+
+template <typename T>
+bool DecodeDict(Reader* in, size_t n, std::vector<T>* out) {
+  uint64_t dict_size;
+  // Every entry takes at least one byte, which bounds a corrupt size.
+  if (!in->Varint(&dict_size) || dict_size > in->remaining()) return false;
+  std::vector<T> dict;
+  dict.reserve(dict_size);
+  if (!DecodeRaw(in, dict_size, &dict)) return false;
   for (size_t i = 0; i < n; ++i) {
     uint64_t code;
-    if (!GetVarint(in, pos, &code)) return false;
-    if (code >= dict.size()) return false;
+    if (!in->Varint(&code) || code >= dict.size()) return false;
     out->push_back(dict[code]);
   }
   return true;
+}
+
+// Widens the dense non-NULL values in `vals` to one slot per flag of `nulls`,
+// filling NULL slots with `null_value`. In place, back to front.
+template <typename T>
+void SpreadOverNulls(const std::vector<uint8_t>& nulls, const T& null_value,
+                     std::vector<T>* vals) {
+  size_t next = vals->size();
+  vals->resize(nulls.size());
+  for (size_t i = nulls.size(); i-- > 0 && next <= i;) {
+    // next <= i: a NULL lies at or before i, so slot i still needs filling.
+    (*vals)[i] = nulls[i] ? null_value : std::move((*vals)[--next]);
+  }
+}
+
+// Decodes `block` (payload starting at `in`; `num_null` of its values NULL
+// per `nulls`) through its codec into one T per value.
+template <typename T>
+Status DecodeValues(const CompressedBlock& block, Reader in, const std::vector<uint8_t>& nulls,
+                    size_t num_null, const T& null_value, std::vector<T>* out) {
+  const size_t n = block.count - num_null;
+  out->reserve(block.count);
+  bool ok = false;
+  switch (block.kind) {
+    case CompressionKind::kNone:
+      ok = DecodeRaw(&in, n, out);
+      break;
+    case CompressionKind::kRle:
+      ok = DecodeRle(&in, n, out);
+      break;
+    case CompressionKind::kDelta:
+      if constexpr (std::is_same_v<T, int64_t>) ok = DecodeDelta(&in, n, out);
+      break;
+    case CompressionKind::kDict:
+      ok = DecodeDict(&in, n, out);
+      break;
+    case CompressionKind::kLz: {
+      std::vector<uint8_t> raw;
+      GPHTAP_RETURN_IF_ERROR(LzDecode(&in, &raw));
+      Reader raw_in{raw.data(), raw.size()};
+      ok = DecodeRaw(&raw_in, n, out);
+      break;
+    }
+  }
+  if (!ok) return Status::InvalidArgument("corrupt compressed block");
+  if (num_null > 0) SpreadOverNulls(nulls, null_value, out);
+  return Status::OK();
 }
 
 }  // namespace
@@ -289,33 +349,9 @@ std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& in) {
 }
 
 StatusOr<std::vector<uint8_t>> LzDecompress(const std::vector<uint8_t>& in) {
-  constexpr size_t kMinMatch = 4;
-  size_t pos = 0;
-  uint64_t total;
-  if (!GetVarint(in, &pos, &total)) return Status::InvalidArgument("lz: bad header");
+  Reader reader{in.data(), in.size()};
   std::vector<uint8_t> out;
-  out.reserve(total);
-  while (out.size() < total) {
-    if (pos >= in.size()) return Status::InvalidArgument("lz: truncated stream");
-    uint8_t t = in[pos++];
-    if (t < 0x80) {
-      size_t run = static_cast<size_t>(t) + 1;
-      if (pos + run > in.size()) return Status::InvalidArgument("lz: bad literal run");
-      out.insert(out.end(), in.begin() + static_cast<long>(pos),
-                 in.begin() + static_cast<long>(pos + run));
-      pos += run;
-    } else {
-      size_t len = static_cast<size_t>(t & 0x7f) + kMinMatch;
-      uint64_t dist;
-      if (!GetVarint(in, &pos, &dist)) return Status::InvalidArgument("lz: bad distance");
-      if (dist == 0 || dist > out.size()) {
-        return Status::InvalidArgument("lz: distance out of range");
-      }
-      size_t start = out.size() - dist;
-      for (size_t k = 0; k < len; ++k) out.push_back(out[start + k]);  // may overlap
-    }
-  }
-  if (out.size() != total) return Status::InvalidArgument("lz: size mismatch");
+  GPHTAP_RETURN_IF_ERROR(LzDecode(&reader, &out));
   return out;
 }
 
@@ -364,53 +400,55 @@ Status CompressColumn(CompressionKind kind, TypeId type,
   return Status::OK();
 }
 
+Status DecompressInto(const CompressedBlock& block, ColumnVector* out) {
+  out->Clear();
+  const size_t nbytes = (static_cast<size_t>(block.count) + 7) / 8;
+  if (nbytes > block.bytes.size()) return Status::InvalidArgument("truncated null bitmap");
+  const uint8_t* bitmap = block.bytes.data();
+  size_t num_null = 0;
+  std::vector<uint8_t> nulls;
+  if (std::any_of(bitmap, bitmap + nbytes, [](uint8_t b) { return b != 0; })) {
+    nulls.resize(block.count);
+    for (size_t i = 0; i < nulls.size(); ++i) {
+      nulls[i] = (bitmap[i / 8] >> (i % 8)) & 1;
+      num_null += nulls[i];
+    }
+  }
+  const Reader payload{block.bytes.data() + nbytes, block.bytes.size() - nbytes};
+  Status st;
+  switch (block.type) {
+    case TypeId::kInt64:
+      out->tag = ColumnVector::Tag::kInt64;
+      st = DecodeValues(block, payload, nulls, num_null, int64_t{0}, &out->ints);
+      break;
+    case TypeId::kDouble:
+      out->tag = ColumnVector::Tag::kDouble;
+      st = DecodeValues(block, payload, nulls, num_null, 0.0, &out->dbls);
+      break;
+    case TypeId::kString:
+      out->tag = ColumnVector::Tag::kDatum;
+      st = DecodeValues(block, payload, nulls, num_null, Datum::Null(), &out->datums);
+      break;
+    default:
+      st = Status::InvalidArgument("corrupt compressed block: unknown column type");
+      break;
+  }
+  if (!st.ok()) {
+    out->Clear();
+    return st;
+  }
+  // Typed payloads flag NULLs in the mask; boxed datums carry their own.
+  if (num_null > 0 && out->tag != ColumnVector::Tag::kDatum) out->nulls = std::move(nulls);
+  return Status::OK();
+}
+
 StatusOr<std::vector<Datum>> DecompressColumn(const CompressedBlock& block) {
-  size_t pos = 0;
-  std::vector<bool> nulls = GetNullBitmap(block.bytes, &pos, block.count);
-  size_t num_non_null = 0;
-  for (bool b : nulls) {
-    if (!b) ++num_non_null;
-  }
-
-  std::vector<Datum> non_null;
-  non_null.reserve(num_non_null);
-  bool ok = false;
-  switch (block.kind) {
-    case CompressionKind::kNone:
-      ok = DecodeRaw(block.bytes, &pos, block.type, num_non_null, &non_null);
-      break;
-    case CompressionKind::kRle:
-      ok = num_non_null == 0 ||
-           DecodeRle(block.bytes, &pos, block.type, num_non_null, &non_null);
-      break;
-    case CompressionKind::kDelta:
-      ok = DecodeDelta(block.bytes, &pos, num_non_null, &non_null);
-      break;
-    case CompressionKind::kDict:
-      ok = DecodeDict(block.bytes, &pos, block.type, num_non_null, &non_null);
-      break;
-    case CompressionKind::kLz: {
-      std::vector<uint8_t> packed(block.bytes.begin() + static_cast<long>(pos),
-                                  block.bytes.end());
-      auto raw = LzDecompress(packed);
-      if (!raw.ok()) return raw.status();
-      size_t rpos = 0;
-      ok = DecodeRaw(*raw, &rpos, block.type, num_non_null, &non_null);
-      break;
-    }
-  }
-  if (!ok) return Status::InvalidArgument("corrupt compressed block");
-
+  ColumnVector col;
+  GPHTAP_RETURN_IF_ERROR(DecompressInto(block, &col));
+  if (col.tag == ColumnVector::Tag::kDatum) return std::move(col.datums);
   std::vector<Datum> out;
-  out.reserve(block.count);
-  size_t next = 0;
-  for (uint32_t i = 0; i < block.count; ++i) {
-    if (nulls[i]) {
-      out.push_back(Datum::Null());
-    } else {
-      out.push_back(std::move(non_null[next++]));
-    }
-  }
+  out.reserve(col.size());
+  for (size_t r = 0; r < col.size(); ++r) out.push_back(col.GetDatum(r));
   return out;
 }
 

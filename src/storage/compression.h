@@ -10,6 +10,7 @@
 #include "catalog/datum.h"
 #include "catalog/schema.h"
 #include "common/status.h"
+#include "vec/column_batch.h"
 
 namespace gphtap {
 
@@ -27,6 +28,13 @@ struct CompressedBlock {
 Status CompressColumn(CompressionKind kind, TypeId type,
                       const std::vector<Datum>& values, CompressedBlock* out);
 
+/// Decodes `block` straight into `out`'s typed layout: int64 and double
+/// blocks fill `ints` / `dbls` and the null mask (left empty when the block
+/// has no NULL), string blocks fill boxed `datums`. A truncated or corrupt
+/// block is InvalidArgument and leaves `out` cleared.
+Status DecompressInto(const CompressedBlock& block, ColumnVector* out);
+
+/// The same decode boxed into one Datum per value (NULLs included).
 StatusOr<std::vector<Datum>> DecompressColumn(const CompressedBlock& block);
 
 /// Raw LZ77-style byte compression (greedy hash-chain matcher). Exposed for

@@ -18,44 +18,6 @@ void ColumnVector::ResetTyped(Tag t, size_t n) {
   }
 }
 
-void ColumnVector::AdoptDatums(std::vector<Datum>&& vals, TypeId type) {
-  Clear();
-  if (type == TypeId::kInt64 || type == TypeId::kDouble) {
-    const bool want_int = type == TypeId::kInt64;
-    bool typed_ok = true;
-    for (const Datum& d : vals) {
-      if (!d.is_null() && (want_int ? !d.is_int() : !d.is_double())) {
-        typed_ok = false;
-        break;
-      }
-    }
-    if (typed_ok) {
-      tag = want_int ? Tag::kInt64 : Tag::kDouble;
-      bool any_null = false;
-      if (want_int) {
-        ints.reserve(vals.size());
-        for (const Datum& d : vals) {
-          ints.push_back(d.is_null() ? 0 : d.int_val());
-          any_null |= d.is_null();
-        }
-      } else {
-        dbls.reserve(vals.size());
-        for (const Datum& d : vals) {
-          dbls.push_back(d.is_null() ? 0.0 : d.double_val());
-          any_null |= d.is_null();
-        }
-      }
-      if (any_null) {
-        nulls.resize(vals.size());
-        for (size_t i = 0; i < vals.size(); ++i) nulls[i] = vals[i].is_null();
-      }
-      return;
-    }
-  }
-  tag = Tag::kDatum;
-  datums = std::move(vals);
-}
-
 void ColumnVector::Demote() {
   if (tag == Tag::kDatum) return;
   const size_t n = size();

@@ -86,11 +86,6 @@ struct ColumnVector {
     nulls[r] = 1;
   }
 
-  /// Takes ownership of a decompressed column, laying it out unboxed when the
-  /// declared type allows (NULLs keep the mask; any off-type datum falls the
-  /// whole column back to boxed storage).
-  void AdoptDatums(std::vector<Datum>&& vals, TypeId type);
-
   /// Converts the typed payload to boxed datums (exact value preserving).
   void Demote();
 

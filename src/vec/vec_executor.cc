@@ -386,9 +386,7 @@ Status ExecHashJoinVec(const PlanNode& node, ExecContext& ctx, const BatchSink& 
         }
       }
       if (null_key) continue;
-      if (ctx.mem != nullptr) {
-        GPHTAP_RETURN_IF_ERROR(ctx.mem->Reserve(BatchRowFootprint(b, r)));
-      }
+      GPHTAP_RETURN_IF_ERROR(ctx.ReserveMem(BatchRowFootprint(b, r)));
       ht.emplace(VecHashRowKey(b, node.right_keys, r),
                  static_cast<int32_t>(build.rows));
       build.AppendSelectedFrom(b, r);
@@ -475,9 +473,9 @@ Status ExecHashAggVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
     g.states.resize(node.aggs.size());
     // Memory grows with the number of groups, not the number of input rows
     // (same accounting as the row engine's hash agg).
-    if (ctx.mem != nullptr && mem_status.ok()) {
-      mem_status = ctx.mem->Reserve(VecRowFootprint(g.key) +
-                                    64 * static_cast<int64_t>(node.aggs.size()));
+    if (mem_status.ok()) {
+      mem_status = ctx.ReserveMem(VecRowFootprint(g.key) +
+                                  64 * static_cast<int64_t>(node.aggs.size()));
     }
     return g;
   };

@@ -155,6 +155,29 @@ TEST_F(SqlEndToEndTest, CollocatedJoinOnDistributionKey) {
   EXPECT_EQ(join.rows[0][0].int_val(), 30);
 }
 
+TEST_F(SqlEndToEndTest, CompositeKeyJoinPairsDistributionKeysByPosition) {
+  // Equal distribution-key sets are not enough for collocation: a.a = b.d AND
+  // a.b = b.c pairs t1's first key with t2's second, so matching rows hash to
+  // different segments unless one side is redistributed in the other's order.
+  Exec("CREATE TABLE t1 (a int, b int) DISTRIBUTED BY (a, b)");
+  Exec("CREATE TABLE t2 (c int, d int) DISTRIBUTED BY (c, d)");
+  Exec("CREATE TABLE t3 (c int, d int) DISTRIBUTED BY (d)");
+  Exec("INSERT INTO t1 SELECT i, i + 1 FROM generate_series(1, 100) i");
+  Exec("INSERT INTO t2 SELECT i + 1, i FROM generate_series(1, 100) i");
+  Exec("INSERT INTO t3 SELECT i + 1, i FROM generate_series(1, 100) i");
+  for (const char* vec : {"on", "off"}) {
+    Exec(std::string("SET vectorized_execution = ") + vec);
+    QueryResult crossed =
+        Exec("SELECT count(*) FROM t1 JOIN t2 ON t1.a = t2.d AND t1.b = t2.c");
+    ASSERT_EQ(crossed.rows.size(), 1u) << "vectorized_execution=" << vec;
+    EXPECT_EQ(crossed.rows[0][0].int_val(), 100) << "vectorized_execution=" << vec;
+    QueryResult covered =
+        Exec("SELECT count(*) FROM t1 JOIN t3 ON t1.b = t3.c AND t1.a = t3.d");
+    ASSERT_EQ(covered.rows.size(), 1u) << "vectorized_execution=" << vec;
+    EXPECT_EQ(covered.rows[0][0].int_val(), 100) << "vectorized_execution=" << vec;
+  }
+}
+
 TEST_F(SqlEndToEndTest, ReplicatedTableJoin) {
   Exec("CREATE TABLE facts (k int, v int) DISTRIBUTED BY (k)");
   Exec("CREATE TABLE dims (k int, name text) DISTRIBUTED REPLICATED");

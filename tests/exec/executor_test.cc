@@ -212,5 +212,44 @@ TEST_F(ExecutorTest, MemoryAccountEnforcedBySort) {
   cluster_->dtm().MarkAborted(gxid);
 }
 
+TEST_F(ExecutorTest, ExactReservationWhenChunkDoesNotFit) {
+  // 64 KB of slot quota and no shared pools: the sort's 1 MB reservation
+  // chunk never fits, but its rows (~20 x 64 B) do, so the query must run,
+  // and every byte goes back to the pools when the account is released.
+  VmemTracker tracker(0);
+  auto group = std::make_shared<GroupMemory>("g", 64 << 10, 0, 1);
+  Gxid gxid;
+  auto owner = cluster_->dtm().BeginTxn(&gxid);
+  DistributedSnapshot snap = cluster_->dtm().TakeSnapshot();
+  QueryPlan plan;
+  auto sort = std::make_unique<PlanNode>();
+  sort->kind = PlanKind::kSort;
+  sort->sort_keys = {SortKey{0, true}};
+  sort->output_arity = 2;
+  sort->children.push_back(
+      MakeMotion(MotionKind::kGather, MakeSeqScan(TableIdOf("t"), 2), 1013));
+  plan.root = std::move(sort);
+  for (int i = 0; i < cluster_->num_segments(); ++i) plan.gang.push_back(i);
+  {
+    QueryMemoryAccount account(&tracker, group);
+    std::vector<Row> rows;
+    Status s = ExecutePlan(cluster_.get(), plan, gxid, owner, snap, nullptr, &account,
+                           [&](Row&& row) -> Status {
+                             rows.push_back(std::move(row));
+                             return Status::OK();
+                           });
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(rows.size(), 20u);
+    EXPECT_GT(account.slot_used(), 0);
+    EXPECT_LT(account.slot_used(), 64 << 10);
+    EXPECT_EQ(account.group_shared_used() + account.global_used(), 0);
+  }
+  EXPECT_EQ(tracker.global_shared_used(), 0);
+  // The slot is whole again: a fresh account can take all of it.
+  QueryMemoryAccount fresh(&tracker, group);
+  EXPECT_TRUE(fresh.Reserve(64 << 10).ok());
+  cluster_->dtm().MarkAborted(gxid);
+}
+
 }  // namespace
 }  // namespace gphtap

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace gphtap {
 namespace {
 
@@ -130,6 +132,90 @@ TEST(PlannerTest, MismatchedJoinKeyRedistributes) {
   };
   walk(*planned->root);
   EXPECT_TRUE(found_redistribute);
+}
+
+// Two-table join query over (k, v) tables a and b: combined columns are
+// a.k=0, a.v=1, b.k=2, b.v=3; `pairs` are the equi-join column pairs.
+SelectQuery JoinQuery(DistributionPolicy a_dist, DistributionPolicy b_dist,
+                      const std::vector<std::pair<int, int>>& pairs) {
+  SelectQuery q;
+  q.tables = {MakeTable(1, "a", std::move(a_dist)), MakeTable(2, "b", std::move(b_dist))};
+  for (auto [l, r] : pairs) {
+    q.quals.push_back(Expr::Binary(BinOp::kEq, Expr::Column(l), Expr::Column(r)));
+  }
+  q.items = {ColItem(0, "k")};
+  return q;
+}
+
+// Hash columns of the redistribute directly under join child `side`
+// (0 = probe, 1 = build); nullopt when that child is not a redistribute.
+std::optional<std::vector<int>> RedistributeCols(const PlanNode& join, size_t side) {
+  const PlanNode& child = *join.children[side];
+  if (child.kind != PlanKind::kMotion || child.motion != MotionKind::kRedistribute) {
+    return std::nullopt;
+  }
+  return child.hash_cols;
+}
+
+TEST(PlannerTest, CompositeKeysJoinedInOrderAreCollocated) {
+  // a.k = b.k AND a.v = b.v with both sides DISTRIBUTED BY (k, v).
+  auto planned = PlanSelect(JoinQuery(DistributionPolicy::Hash({0, 1}),
+                                      DistributionPolicy::Hash({0, 1}), {{0, 2}, {1, 3}}),
+                            Opts(4));
+  ASSERT_TRUE(planned.ok());
+  EXPECT_EQ(CountNodes(*planned->root, PlanKind::kMotion), 1);  // gather only
+}
+
+TEST(PlannerTest, DistributionKeysSubsetOfJoinKeysAreCollocated) {
+  // a.k = b.k AND a.v = b.v with both sides DISTRIBUTED BY (k): matching rows
+  // agree on k, so they already share a segment (CH q5's ol_w_id = s_w_id).
+  auto planned = PlanSelect(JoinQuery(DistributionPolicy::Hash({0}),
+                                      DistributionPolicy::Hash({0}), {{0, 2}, {1, 3}}),
+                            Opts(4));
+  ASSERT_TRUE(planned.ok());
+  EXPECT_EQ(CountNodes(*planned->root, PlanKind::kMotion), 1);
+}
+
+TEST(PlannerTest, CrossPairedCompositeKeysRedistributeOnPartnerOrder) {
+  // a DISTRIBUTED BY (k, v), b DISTRIBUTED BY (k, v), joined a.k = b.v AND
+  // a.v = b.k: the key sets match but the pairing is crossed, so b must be
+  // hashed on (b.v, b.k) — a's distribution order — to meet a's rows.
+  auto planned = PlanSelect(JoinQuery(DistributionPolicy::Hash({0, 1}),
+                                      DistributionPolicy::Hash({0, 1}), {{0, 3}, {1, 2}}),
+                            Opts(4));
+  ASSERT_TRUE(planned.ok());
+  EXPECT_EQ(CountNodes(*planned->root, PlanKind::kMotion), 2);
+  const PlanNode* join = FindNode(*planned->root, PlanKind::kHashJoin);
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(RedistributeCols(*join, 0), std::nullopt);
+  EXPECT_EQ(RedistributeCols(*join, 1), (std::vector<int>{1, 0}));
+}
+
+TEST(PlannerTest, CoveredSideStaysAndOtherSideTakesItsOrder) {
+  // a DISTRIBUTED BY (k, v), b DISTRIBUTED BY (v), joined a.v = b.k AND
+  // a.k = b.v: a is covered, so b moves, hashed on a's partners (b.v, b.k).
+  auto planned = PlanSelect(JoinQuery(DistributionPolicy::Hash({0, 1}),
+                                      DistributionPolicy::Hash({1}), {{1, 2}, {0, 3}}),
+                            Opts(4));
+  ASSERT_TRUE(planned.ok());
+  EXPECT_EQ(CountNodes(*planned->root, PlanKind::kMotion), 2);
+  const PlanNode* join = FindNode(*planned->root, PlanKind::kHashJoin);
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(RedistributeCols(*join, 0), std::nullopt);
+  EXPECT_EQ(RedistributeCols(*join, 1), (std::vector<int>{1, 0}));
+}
+
+TEST(PlannerTest, OnlyBuildSideCoveredMovesProbeSide) {
+  // a DISTRIBUTED BY (v), b DISTRIBUTED BY (k), joined a.k = b.k: only b is
+  // covered, so a is hashed on b's partner a.k.
+  auto planned = PlanSelect(JoinQuery(DistributionPolicy::Hash({1}),
+                                      DistributionPolicy::Hash({0}), {{0, 2}}),
+                            Opts(4));
+  ASSERT_TRUE(planned.ok());
+  const PlanNode* join = FindNode(*planned->root, PlanKind::kHashJoin);
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(RedistributeCols(*join, 0), (std::vector<int>{0}));
+  EXPECT_EQ(RedistributeCols(*join, 1), std::nullopt);
 }
 
 TEST(PlannerTest, ReplicatedTableNeedsNoMotion) {

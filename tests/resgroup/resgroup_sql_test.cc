@@ -2,6 +2,7 @@
 // admission control on sessions, and vmem-driven query cancellation.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "api/gphtap.h"
@@ -100,6 +101,57 @@ TEST(ResgroupSqlTest, VmemLimitCancelsOversizedQuery) {
   EXPECT_TRUE(admin->Execute("SELECT count(*) FROM big").ok());
   // And the analyst's next (small) query works: the account was released.
   EXPECT_TRUE(analyst->Execute("SELECT count(*) FROM big").ok());
+}
+
+TEST(ResgroupSqlTest, ReservationFallsBackToExactBytesAndPoolsDrain) {
+  Cluster cluster(RgCluster());
+  auto admin = cluster.Connect();
+  // Slot 0.8 MB / 2 = 410 KB, group shared 205 KB, global shared 1 MB.
+  ASSERT_TRUE(admin->Execute("CREATE RESOURCE GROUP tight WITH (CONCURRENCY=2, "
+                             "MEMORY_LIMIT=1, MEMORY_SHARED_QUOTA=20)")
+                  .ok());
+  ASSERT_TRUE(admin->Execute("CREATE ROLE app RESOURCE GROUP tight").ok());
+  ASSERT_TRUE(admin->Execute("CREATE TABLE a (k int, v int) DISTRIBUTED BY (k)").ok());
+  ASSERT_TRUE(admin->Execute("CREATE TABLE b (k int, w int) DISTRIBUTED BY (w)").ok());
+  ASSERT_TRUE(
+      admin->Execute("INSERT INTO a SELECT i, i % 7 FROM generate_series(1, 2000) i").ok());
+  ASSERT_TRUE(
+      admin->Execute("INSERT INTO b SELECT i, i FROM generate_series(1, 2000) i").ok());
+  auto tight = cluster.resgroups().Get("tight");
+  ASSERT_NE(tight, nullptr);
+  auto app = cluster.Connect("app");
+  Counter* cancels = cluster.metrics().counter("resgroup.vmem_cancels");
+  const uint64_t cancels_before = cancels->value();
+  // Every slice of these statements reserves (hash join build, hash agg
+  // groups, sort rows, nest-loop inner), and its slices want a 1 MB chunk
+  // each out of ~1.6 MB: after the first, chunks do not fit and the slices
+  // fall back to exact bytes.
+  const char* statements[] = {
+      "SELECT count(*) FROM a JOIN b ON a.k = b.k",
+      "SELECT v, count(*) FROM a GROUP BY v ORDER BY v",
+      "SELECT k FROM a ORDER BY k DESC LIMIT 3",
+      "SELECT count(*) FROM a, b WHERE a.k < 3 AND b.k < 3",
+  };
+  for (const char* sql : statements) {
+    for (const char* vec : {"on", "off"}) {
+      ASSERT_TRUE(app->Execute(std::string("SET vectorized_execution = ") + vec).ok());
+      auto r = app->Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << " (vectorized " << vec << "): " << r.status().ToString();
+      // After the statement both shared pools are whole again: the global
+      // pool reads 0 and a fresh account of the group can take slot plus
+      // group-shared bytes exactly.
+      EXPECT_EQ(cluster.vmem().global_shared_used(), 0) << sql;
+      auto probe = tight->NewMemoryAccount();
+      const int64_t group_bytes = 1 << 20;
+      const int64_t shared = group_bytes * 20 / 100;
+      EXPECT_TRUE(probe->Reserve((group_bytes - shared) / 2 + shared).ok()) << sql;
+      EXPECT_EQ(probe->global_used(), 0) << sql;
+    }
+  }
+  auto joined = app->Execute("SELECT count(*) FROM a JOIN b ON a.k = b.k");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(joined->rows[0][0].int_val(), 2000);
+  EXPECT_EQ(cancels->value(), cancels_before) << "a fitting query was cancelled";
 }
 
 TEST(ResgroupSqlTest, SetRoleSwitchesGroups) {
