@@ -20,11 +20,13 @@ cmake --build build-tsan -j "$(nproc)"
 # open, sealed and freed states, so memory errors are the likely failure.
 # Decode writes typed column buffers in place, and slices hand out reserved
 # query memory from local chunks, so the codec, resource-group, executor and
-# planner tests run here too.
+# planner tests run here too. The hash table behind GROUP BY, DISTINCT and the
+# batch hash join indexes raw slot and group-id arrays, so the column-batch
+# and end-to-end SQL tests run here as well.
 cmake -B build-asan -S . -DGPHTAP_SANITIZE=address
 cmake --build build-asan -j "$(nproc)"
 (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-  'storage_kinds_test|ao_visibility_test|ao_compaction_test|compression_test|delta_store_test|delta_scan_test|delta_differential_test|vec_executor_test|vec_differential_test|reorg_test|expand_test|crash_recovery_test|resgroup_test|resgroup_sql_test|executor_test|planner_test')
+  'storage_kinds_test|ao_visibility_test|ao_compaction_test|compression_test|delta_store_test|delta_scan_test|delta_differential_test|vec_executor_test|vec_differential_test|reorg_test|expand_test|crash_recovery_test|resgroup_test|resgroup_sql_test|executor_test|planner_test|sql_end_to_end_test|column_batch_test')
 
 # Advisory bench diffing: the previous run's BENCH_*.json is kept as .prev and
 # a per-series tps/p99 delta table is printed after each fresh run. Informative

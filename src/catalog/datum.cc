@@ -45,23 +45,23 @@ uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
 
 }  // namespace
 
+uint64_t Datum::HashInt(int64_t v) { return Fmix64(static_cast<uint64_t>(v)); }
+
+uint64_t Datum::HashDouble(double d) {
+  // Hash integral doubles the same as the equal int64 so cross-type equality
+  // keys co-hash.
+  if (std::floor(d) == d && std::abs(d) < 9.2e18) {
+    return HashInt(static_cast<int64_t>(d));
+  }
+  uint64_t bits;
+  __builtin_memcpy(&bits, &d, 8);
+  return Fmix64(bits);
+}
+
 uint64_t Datum::Hash() const {
-  if (is_null()) return 0x5bd1e995;
-  if (is_int()) {
-    int64_t v = int_val();
-    return Fmix64(static_cast<uint64_t>(v));
-  }
-  if (is_double()) {
-    double d = double_val();
-    // Hash integral doubles the same as the equal int64 so cross-type equality
-    // keys co-hash.
-    if (std::floor(d) == d && std::abs(d) < 9.2e18) {
-      return Fmix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-    }
-    uint64_t bits;
-    __builtin_memcpy(&bits, &d, 8);
-    return Fmix64(bits);
-  }
+  if (is_null()) return kNullHash;
+  if (is_int()) return HashInt(int_val());
+  if (is_double()) return HashDouble(double_val());
   const std::string& s = string_val();
   return HashBytes(s.data(), s.size(), 0xc2b2ae3d27d4eb4fULL);
 }

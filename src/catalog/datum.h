@@ -38,6 +38,12 @@ class Datum {
   /// Hash for distribution-key routing (matches across equal values of the same type).
   uint64_t Hash() const;
 
+  /// Hash() of a non-NULL int / double datum holding `v`, without boxing it.
+  /// An integral double hashes like the equal int, so 1 and 1.0 co-hash.
+  static uint64_t HashInt(int64_t v);
+  static uint64_t HashDouble(double v);
+  static constexpr uint64_t kNullHash = 0x5bd1e995;
+
   /// Three-way comparison for ORDER BY / predicates. NULLs sort last and equal to
   /// each other. Numeric types compare cross-type; strings compare lexicographically.
   int Compare(const Datum& other) const;

@@ -138,15 +138,4 @@ void AggEmitFinal(const AggSpec& spec, const AggState& s, Row* out) {
   }
 }
 
-void AppendGroupKeyPart(const Datum& d, std::string* key) {
-  *key += d.is_null() ? std::string("\x01N") : d.ToString();
-  *key += '\x02';
-}
-
-std::string GroupKeyString(const Row& row, const std::vector<int>& keys) {
-  std::string s;
-  for (int k : keys) AppendGroupKeyPart(row[static_cast<size_t>(k)], &s);
-  return s;
-}
-
 }  // namespace gphtap

@@ -42,12 +42,6 @@ Status AggMergePartial(const AggSpec& spec, AggState* s, const Row& row, int col
 
 void AggEmitFinal(const AggSpec& spec, const AggState& s, Row* out);
 
-/// Appends one group-key component (NULL-safe, unambiguous) to `key`.
-void AppendGroupKeyPart(const Datum& d, std::string* key);
-
-/// Serialized grouping key for hash aggregation over a row.
-std::string GroupKeyString(const Row& row, const std::vector<int>& keys);
-
 }  // namespace gphtap
 
 #endif  // GPHTAP_EXEC_AGG_OPS_H_

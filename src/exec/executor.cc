@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <map>
 #include <thread>
 #include <unordered_map>
 
@@ -11,6 +10,7 @@
 #include "exec/agg_ops.h"
 #include "stats/statement_resources.h"
 #include "storage/heap_table.h"
+#include "vec/hash_table.h"
 #include "vec/vec_executor.h"
 #include "vec/vec_kernels.h"
 
@@ -235,28 +235,24 @@ Status ExecNestLoop(const PlanNode& node, ExecContext& ctx, const RowSink& sink)
 }
 
 Status ExecHashAgg(const PlanNode& node, ExecContext& ctx, const RowSink& sink) {
-  struct Group {
-    Row key;
-    std::vector<AggState> states;
-  };
-  std::map<std::string, Group> groups;
+  // Groups are entries of the batch engine's hash table (same hashing and
+  // Datum-equality of keys); states[gid] holds each group's accumulators.
+  VecHashTable groups(node.group_cols.size());
+  std::vector<std::vector<AggState>> states;
 
-  Status mem_status = Status::OK();
-  auto group_for = [&](const Row& row, const std::vector<int>& cols) -> Group& {
-    std::string key = GroupKeyString(row, cols);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      Group g;
-      for (int c : cols) g.key.push_back(row[static_cast<size_t>(c)]);
-      g.states.resize(node.aggs.size());
+  auto group_for = [&](const Row& row, const std::vector<int>& cols) -> StatusOr<size_t> {
+    const auto g = static_cast<size_t>(groups.FindOrInsert(row, cols));
+    if (g == states.size()) {
+      states.emplace_back(node.aggs.size());
       // Memory grows with the number of groups, not the number of input rows.
-      if (mem_status.ok()) {
-        mem_status = ctx.ReserveMem(RowFootprint(g.key) +
-                                    64 * static_cast<int64_t>(node.aggs.size()));
+      int64_t key_bytes = 32;
+      for (int c : cols) {
+        key_bytes += static_cast<int64_t>(row[static_cast<size_t>(c)].FootprintBytes());
       }
-      it = groups.emplace(std::move(key), std::move(g)).first;
+      GPHTAP_RETURN_IF_ERROR(
+          ctx.ReserveMem(key_bytes + 64 * static_cast<int64_t>(node.aggs.size())));
     }
-    return it->second;
+    return g;
   };
 
   if (node.agg_phase == AggPhase::kFinal) {
@@ -265,11 +261,10 @@ Status ExecHashAgg(const PlanNode& node, ExecContext& ctx, const RowSink& sink) 
     for (size_t i = 0; i < gcols.size(); ++i) gcols[i] = static_cast<int>(i);
     GPHTAP_RETURN_IF_ERROR(ExecuteNode(*node.children[0], ctx, [&](Row&& row) -> Status {
       GPHTAP_RETURN_IF_ERROR(ctx.Tick());
-      Group& g = group_for(row, gcols);
-      GPHTAP_RETURN_IF_ERROR(mem_status);
+      GPHTAP_ASSIGN_OR_RETURN(size_t g, group_for(row, gcols));
       int col = static_cast<int>(node.group_cols.size());
       for (size_t a = 0; a < node.aggs.size(); ++a) {
-        GPHTAP_RETURN_IF_ERROR(AggMergePartial(node.aggs[a], &g.states[a], row, col));
+        GPHTAP_RETURN_IF_ERROR(AggMergePartial(node.aggs[a], &states[g][a], row, col));
         col += AggStateArity(node.aggs[a].fn);
       }
       return Status::OK();
@@ -277,29 +272,27 @@ Status ExecHashAgg(const PlanNode& node, ExecContext& ctx, const RowSink& sink) 
   } else {
     GPHTAP_RETURN_IF_ERROR(ExecuteNode(*node.children[0], ctx, [&](Row&& row) -> Status {
       GPHTAP_RETURN_IF_ERROR(ctx.Tick());
-      Group& g = group_for(row, node.group_cols);
-      GPHTAP_RETURN_IF_ERROR(mem_status);
+      GPHTAP_ASSIGN_OR_RETURN(size_t g, group_for(row, node.group_cols));
       for (size_t a = 0; a < node.aggs.size(); ++a) {
-        GPHTAP_RETURN_IF_ERROR(AggUpdate(node.aggs[a], &g.states[a], row));
+        GPHTAP_RETURN_IF_ERROR(AggUpdate(node.aggs[a], &states[g][a], row));
       }
       return Status::OK();
     }));
   }
 
   // Global aggregates with zero input rows still produce one output group.
-  if (groups.empty() && node.group_cols.empty()) {
-    Group g;
-    g.states.resize(node.aggs.size());
-    groups.emplace("", std::move(g));
-  }
+  if (states.empty() && node.group_cols.empty()) states.emplace_back(node.aggs.size());
 
-  for (auto& [key, g] : groups) {
-    Row out = g.key;
+  const ColumnBatch& keys = groups.entries();
+  for (size_t g = 0; g < states.size(); ++g) {
+    Row out;
+    out.reserve(keys.NumColumns() + node.aggs.size());
+    for (const ColumnVector& key : keys.columns) out.push_back(key.GetDatum(g));
     for (size_t a = 0; a < node.aggs.size(); ++a) {
       if (node.agg_phase == AggPhase::kPartial) {
-        AggEmitPartial(node.aggs[a], g.states[a], &out);
+        AggEmitPartial(node.aggs[a], states[g][a], &out);
       } else {
-        AggEmitFinal(node.aggs[a], g.states[a], &out);
+        AggEmitFinal(node.aggs[a], states[g][a], &out);
       }
     }
     Status s = sink(std::move(out));

@@ -102,10 +102,12 @@ struct RelState {
 
 // Bottom-up vectorizability marking. A node is marked when the batch engine
 // can run its whole input side: SeqScans over AO-column tables, and
-// Filter/Project/Motion/HashAgg/HashJoin chains above them (all agg phases —
-// the batch engine merges partial state itself). Unmarked parents over marked
-// children are fine — the executor bridges the boundary by materializing rows
-// out of batches.
+// Filter/Project/Motion/HashAgg chains above them (all agg phases — the batch
+// engine merges partial state itself). A HashJoin follows its probe child
+// (children[0]) alone: an unmarked build side runs on the row engine and is
+// packed into the batch build table. Unmarked parents over marked children
+// are fine — the executor bridges the boundary by materializing rows out of
+// batches.
 bool MarkVectorizable(PlanNode* n, const std::set<TableId>& vec_tables) {
   bool children_marked = !n->children.empty();
   for (auto& c : n->children) {
@@ -119,8 +121,10 @@ bool MarkVectorizable(PlanNode* n, const std::set<TableId>& vec_tables) {
     case PlanKind::kProject:
     case PlanKind::kMotion:
     case PlanKind::kHashAgg:
-    case PlanKind::kHashJoin:
       n->vectorize = children_marked;
+      break;
+    case PlanKind::kHashJoin:
+      n->vectorize = n->children[0]->vectorize;
       break;
     default:
       n->vectorize = false;
@@ -168,6 +172,17 @@ void LabelScanStores(PlanNode* n, const std::vector<TableDef>& tables,
       n->scan_store = "external";
       break;
   }
+}
+
+// A grouping over every column of `child` with no aggregates: DISTINCT.
+PlanPtr MakeDedup(PlanPtr child, AggPhase phase) {
+  auto dedup = std::make_unique<PlanNode>();
+  dedup->kind = PlanKind::kHashAgg;
+  dedup->agg_phase = phase;
+  for (int i = 0; i < child->output_arity; ++i) dedup->group_cols.push_back(i);
+  dedup->output_arity = child->output_arity;
+  dedup->children.push_back(std::move(child));
+  return dedup;
 }
 
 }  // namespace
@@ -681,20 +696,22 @@ StatusOr<PlannedSelect> PlanSelect(const SelectQuery& query, const PlannerOption
     if (any_virtual) {
       out.root = std::move(project);  // already on the coordinator; no Gather
     } else {
-      out.root =
-          MakeMotion(MotionKind::kGather, std::move(project), opts.next_motion_id());
+      PlanPtr segment_out = std::move(project);
+      if (query.distinct) {
+        // Two-phase DISTINCT: each segment ships only its distinct rows.
+        segment_out = MakeDedup(std::move(segment_out), AggPhase::kPartial);
+      }
+      out.root = MakeMotion(MotionKind::kGather, std::move(segment_out),
+                            opts.next_motion_id());
     }
   }
 
-  // DISTINCT: dedupe on the coordinator (a grouping with no aggregates).
+  // DISTINCT: the (final) dedup on the coordinator. Over aggregated output or
+  // a system view it is the only phase.
   if (query.distinct) {
-    auto dedup = std::make_unique<PlanNode>();
-    dedup->kind = PlanKind::kHashAgg;
-    dedup->agg_phase = AggPhase::kSingle;
-    for (int i = 0; i < out.root->output_arity; ++i) dedup->group_cols.push_back(i);
-    dedup->output_arity = out.root->output_arity;
-    dedup->children.push_back(std::move(out.root));
-    out.root = std::move(dedup);
+    const bool two_phase = !query.HasAggregates() && !any_virtual;
+    out.root = MakeDedup(std::move(out.root),
+                         two_phase ? AggPhase::kFinal : AggPhase::kSingle);
   }
 
   // ORDER BY / LIMIT on the coordinator.

@@ -116,6 +116,52 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t r) {
   Append(src.GetDatum(r));
 }
 
+bool ColumnVector::EqualAt(size_t r, const ColumnVector& other, size_t s) const {
+  if (tag == other.tag && tag != Tag::kDatum) {
+    const bool a_null = IsNull(r);
+    const bool b_null = other.IsNull(s);
+    if (a_null || b_null) return a_null == b_null;
+    if (tag == Tag::kInt64) return ints[r] == other.ints[s];
+    // Datum::Compare's rule: equal unless one orders before the other.
+    const double a = dbls[r];
+    const double b = other.dbls[s];
+    return !(a < b) && !(a > b);
+  }
+  if (tag == Tag::kDatum) return datums[r].Compare(other.GetDatum(s)) == 0;
+  if (other.tag == Tag::kDatum) return other.datums[s].Compare(GetDatum(r)) == 0;
+  return GetDatum(r).Compare(other.GetDatum(s)) == 0;
+}
+
+void ColumnVector::AppendGather(const ColumnVector& src, const int32_t* idx, size_t n) {
+  if (size() == 0 && nulls.empty()) tag = src.tag;
+  if (tag != src.tag) {
+    for (size_t i = 0; i < n; ++i) AppendFrom(src, static_cast<size_t>(idx[i]));
+    return;
+  }
+  const size_t base = size();
+  switch (tag) {
+    case Tag::kInt64:
+      ints.resize(base + n);
+      for (size_t i = 0; i < n; ++i) ints[base + i] = src.ints[static_cast<size_t>(idx[i])];
+      break;
+    case Tag::kDouble:
+      dbls.resize(base + n);
+      for (size_t i = 0; i < n; ++i) dbls[base + i] = src.dbls[static_cast<size_t>(idx[i])];
+      break;
+    case Tag::kDatum:
+      datums.reserve(base + n);
+      for (size_t i = 0; i < n; ++i) datums.push_back(src.datums[static_cast<size_t>(idx[i])]);
+      return;  // NULL lives in the datum
+  }
+  if (src.nulls.empty()) {
+    if (!nulls.empty()) nulls.resize(base + n, 0);
+    return;
+  }
+  if (nulls.empty()) nulls.assign(base, 0);
+  nulls.resize(base + n);
+  for (size_t i = 0; i < n; ++i) nulls[base + i] = src.nulls[static_cast<size_t>(idx[i])];
+}
+
 void ColumnBatch::Reset(size_t ncols, size_t capacity) {
   Clear();
   columns.resize(ncols);
@@ -171,9 +217,7 @@ void ColumnBatch::Compact() {
   if (sel.size() == rows) return;  // already dense
   for (auto& col : columns) {
     ColumnVector dense;
-    dense.tag = col.tag;
-    dense.Reserve(sel.size());
-    for (int32_t r : sel) dense.AppendFrom(col, static_cast<size_t>(r));
+    dense.AppendGather(col, sel.data(), sel.size());
     col = std::move(dense);
   }
   rows = sel.size();

@@ -106,11 +106,21 @@ struct ColumnVector {
   /// source tag so the payload stays unboxed.
   void AppendFrom(const ColumnVector& src, size_t r);
 
+  /// Appends src[idx[0]], ..., src[idx[n-1]]: AppendFrom over an index list,
+  /// with one tight loop per payload type when the tags agree.
+  void AppendGather(const ColumnVector& src, const int32_t* idx, size_t n);
+
   /// Hash of slot `r`, identical to GetDatum(r).Hash() (and therefore to the
   /// row path's distribution hashing) but allocation-free for typed columns.
   uint64_t HashAt(size_t r) const {
-    return tag == Tag::kDatum ? datums[r].Hash() : GetDatum(r).Hash();
+    if (tag == Tag::kDatum) return datums[r].Hash();
+    if (!nulls.empty() && nulls[r]) return Datum::kNullHash;
+    return tag == Tag::kInt64 ? Datum::HashInt(ints[r]) : Datum::HashDouble(dbls[r]);
   }
+
+  /// True when slot `r` equals slot `s` of `other` under Datum::Compare (NULL
+  /// equals NULL, int 1 equals double 1.0); typed payloads compare unboxed.
+  bool EqualAt(size_t r, const ColumnVector& other, size_t s) const;
 
   /// Approximate per-slot footprint, mirroring Datum::FootprintBytes().
   size_t FootprintAt(size_t r) const {

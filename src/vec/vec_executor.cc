@@ -1,13 +1,14 @@
 #include "vec/vec_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -18,6 +19,7 @@
 #include "stats/statement_resources.h"
 #include "storage/column_store.h"
 #include "storage/heap_table.h"
+#include "vec/hash_table.h"
 #include "vec/vec_kernels.h"
 
 namespace gphtap {
@@ -39,12 +41,6 @@ bool VecEngineSupports(PlanKind kind) {
 namespace {
 
 Status ExecuteNodeVecImpl(const PlanNode& node, ExecContext& ctx, const BatchSink& sink);
-
-int64_t VecRowFootprint(const Row& row) {
-  int64_t bytes = 32;
-  for (const Datum& d : row) bytes += static_cast<int64_t>(d.FootprintBytes());
-  return bytes;
-}
 
 // Footprint of physical row `r` of a batch, mirroring the row engine's
 // RowFootprint without materializing the Row.
@@ -365,16 +361,16 @@ Status ExecSeqScanVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
 
 // ---------- vectorized hash join ----------
 //
-// Mirrors the row engine's ExecHashJoin exactly (null keys never match, hash
-// collisions verified by Datum::Compare, combined layout = probe columns then
-// build columns, node.filter applied to the combined row, same memory
-// accounting) — but the build store is one dense ColumnBatch addressed by row
-// index, and probe/emit work batch-at-a-time by column copy.
+// Mirrors the row engine's ExecHashJoin (null keys never match, keys compare
+// under Datum::Compare, combined layout = probe columns then build columns,
+// node.filter applied to the combined row, same memory accounting), but the
+// build side is one dense ColumnBatch indexed by a VecHashTable, and each
+// probe batch resolves to (probe row, build row) pairs whose output is
+// gathered column by column.
 Status ExecHashJoinVec(const PlanNode& node, ExecContext& ctx, const BatchSink& sink) {
   // Build side = children[1] (inner), fully materialized first — this is also
   // the Appendix-B network-deadlock prophylactic.
   ColumnBatch build;
-  std::unordered_multimap<uint64_t, int32_t> ht;
   Status st = ExecuteChildVec(*node.children[1], ctx, [&](ColumnBatch&& b) -> Status {
     if (build.columns.empty()) build.Reset(b.NumColumns());
     for (int32_t r : b.sel) {
@@ -387,69 +383,48 @@ Status ExecHashJoinVec(const PlanNode& node, ExecContext& ctx, const BatchSink& 
       }
       if (null_key) continue;
       GPHTAP_RETURN_IF_ERROR(ctx.ReserveMem(BatchRowFootprint(b, r)));
-      ht.emplace(VecHashRowKey(b, node.right_keys, r),
-                 static_cast<int32_t>(build.rows));
       build.AppendSelectedFrom(b, r);
     }
     return Status::OK();
   });
   GPHTAP_RETURN_IF_ERROR(st);
+  const VecHashTable table(std::move(build), node.right_keys);
+  const ColumnBatch& inner = table.entries();
 
-  // Probe side streams; matches accumulate into output batches.
+  // Matches accumulate into full output batches.
   ColumnBatch out;
-  bool shaped = false;
   auto flush = [&]() -> Status {
+    out.SelectAll();
     if (node.filter) {
       GPHTAP_RETURN_IF_ERROR(VecFilterBatch(*node.filter, &out));
     }
-    size_t ncols = out.NumColumns();
+    const size_t ncols = out.NumColumns();
     ColumnBatch full = std::move(out);
     out = ColumnBatch();
-    out.Reset(ncols);
+    out.columns.resize(ncols);
     if (full.ActiveRows() == 0) return Status::OK();
     return sink(std::move(full));
   };
+  std::vector<int32_t> probe_rows, build_rows;
   Status ps = ExecuteChildVec(*node.children[0], ctx, [&](ColumnBatch&& p) -> Status {
     GPHTAP_RETURN_IF_ERROR(ctx.Tick(static_cast<int>(p.ActiveRows())));
-    if (!shaped) {
-      out.Reset(p.NumColumns() + build.NumColumns());
-      shaped = true;
-    }
-    for (int32_t r : p.sel) {
-      bool null_key = false;
-      for (int k : node.left_keys) {
-        if (p.columns[static_cast<size_t>(k)].IsNull(static_cast<size_t>(r))) {
-          null_key = true;
-          break;
-        }
+    const size_t probe_cols = p.NumColumns();
+    if (out.columns.empty()) out.columns.resize(probe_cols + inner.NumColumns());
+    table.Probe(p, node.left_keys, &probe_rows, &build_rows);
+    for (size_t done = 0; done < probe_rows.size();) {
+      const size_t n = std::min(probe_rows.size() - done,
+                                ColumnBatch::kDefaultCapacity - out.rows);
+      for (size_t c = 0; c < probe_cols; ++c) {
+        out.columns[c].AppendGather(p.columns[c], probe_rows.data() + done, n);
       }
-      if (null_key) continue;
-      auto range = ht.equal_range(VecHashRowKey(p, node.left_keys, r));
-      for (auto it = range.first; it != range.second; ++it) {
-        const size_t m = static_cast<size_t>(it->second);
-        // Verify key equality (hash collisions).
-        bool match = true;
-        for (size_t k = 0; k < node.left_keys.size(); ++k) {
-          if (p.columns[static_cast<size_t>(node.left_keys[k])]
-                  .GetDatum(static_cast<size_t>(r))
-                  .Compare(build.columns[static_cast<size_t>(node.right_keys[k])]
-                               .GetDatum(m)) != 0) {
-            match = false;
-            break;
-          }
-        }
-        if (!match) continue;
-        for (size_t c = 0; c < p.NumColumns(); ++c) {
-          out.columns[c].AppendFrom(p.columns[c], static_cast<size_t>(r));
-        }
-        for (size_t c = 0; c < build.NumColumns(); ++c) {
-          out.columns[p.NumColumns() + c].AppendFrom(build.columns[c], m);
-        }
-        out.sel.push_back(static_cast<int32_t>(out.rows));
-        ++out.rows;
-        if (out.rows >= ColumnBatch::kDefaultCapacity) {
-          GPHTAP_RETURN_IF_ERROR(flush());
-        }
+      for (size_t c = 0; c < inner.NumColumns(); ++c) {
+        out.columns[probe_cols + c].AppendGather(inner.columns[c],
+                                                 build_rows.data() + done, n);
+      }
+      out.rows += n;
+      done += n;
+      if (out.rows >= ColumnBatch::kDefaultCapacity) {
+        GPHTAP_RETURN_IF_ERROR(flush());
       }
     }
     return Status::OK();
@@ -459,108 +434,109 @@ Status ExecHashJoinVec(const PlanNode& node, ExecContext& ctx, const BatchSink& 
   return Status::OK();
 }
 
-Status ExecHashAggVec(const PlanNode& node, ExecContext& ctx, const BatchSink& sink) {
-  struct Group {
-    Row key;
-    std::vector<AggState> states;
-  };
-  std::map<std::string, Group> groups;
-  Status mem_status = Status::OK();
-
-  auto new_group = [&](Row key) -> Group {
-    Group g;
-    g.key = std::move(key);
-    g.states.resize(node.aggs.size());
-    // Memory grows with the number of groups, not the number of input rows
-    // (same accounting as the row engine's hash agg).
-    if (mem_status.ok()) {
-      mem_status = ctx.ReserveMem(VecRowFootprint(g.key) +
-                                  64 * static_cast<int64_t>(node.aggs.size()));
+// Sends the first `num_groups` groups of a hash agg to `sink` in batches of
+// kDefaultCapacity: output row g is key entry g of `groups` followed by the
+// values emit(g, ...) appends.
+Status EmitGroups(const VecHashTable& groups, size_t num_groups,
+                  const std::function<void(size_t, Row*)>& emit, const BatchSink& sink) {
+  const ColumnBatch& keys = groups.entries();
+  std::vector<int32_t> ids;
+  Row agg_values;
+  for (size_t begin = 0; begin < num_groups; begin += ColumnBatch::kDefaultCapacity) {
+    const size_t n = std::min(num_groups - begin, ColumnBatch::kDefaultCapacity);
+    ids.resize(n);
+    std::iota(ids.begin(), ids.end(), static_cast<int32_t>(begin));
+    ColumnBatch out;
+    for (size_t g = 0; g < n; ++g) {
+      agg_values.clear();
+      emit(begin + g, &agg_values);
+      if (out.columns.empty()) out.columns.resize(keys.NumColumns() + agg_values.size());
+      for (size_t a = 0; a < agg_values.size(); ++a) {
+        out.columns[keys.NumColumns() + a].Append(std::move(agg_values[a]));
+      }
     }
-    return g;
+    for (size_t k = 0; k < keys.NumColumns(); ++k) {
+      out.columns[k].AppendGather(keys.columns[k], ids.data(), n);
+    }
+    out.rows = n;
+    out.SelectAll();
+    Status s = sink(std::move(out));
+    if (s.code() == StatusCode::kStopIteration) return s;
+    GPHTAP_RETURN_IF_ERROR(s);
+  }
+  return Status::OK();
+}
+
+// Grouped, DISTINCT and global aggregation over batches. Each input batch
+// resolves to a group-id vector through one VecHashTable; aggregate states
+// are stored per aggregate, indexed by group id.
+Status ExecHashAggVec(const PlanNode& node, ExecContext& ctx, const BatchSink& sink) {
+  const size_t num_aggs = node.aggs.size();
+  const size_t num_keys = node.group_cols.size();
+  VecHashTable groups(num_keys);
+  std::vector<std::vector<AggState>> states(num_aggs);
+  std::vector<int32_t> gids;
+
+  // Resolves `b`'s live rows to group ids (keys at `key_cols`) and reserves
+  // memory for each new group: it grows with the number of groups, not the
+  // number of input rows (same accounting as the row engine's hash agg).
+  auto resolve = [&](const ColumnBatch& b, const std::vector<int>& key_cols) -> Status {
+    const size_t before = groups.size();
+    groups.FindOrInsert(b, key_cols, &gids);
+    for (auto& s : states) s.resize(groups.size());
+    for (size_t g = before; g < groups.size(); ++g) {
+      GPHTAP_RETURN_IF_ERROR(
+          ctx.ReserveMem(BatchRowFootprint(groups.entries(), static_cast<int32_t>(g)) +
+                         64 * static_cast<int64_t>(num_aggs)));
+    }
+    return Status::OK();
   };
 
   Status s;
   if (node.agg_phase == AggPhase::kFinal) {
     // Final phase: merge partial states. Input layout: group cols first, then
     // each agg's partial state columns (AggStateArity wide). Input volume is
-    // one row per (group, sender), so per-row materialization is cheap.
-    std::vector<int> gcols(node.group_cols.size());
-    for (size_t i = 0; i < gcols.size(); ++i) gcols[i] = static_cast<int>(i);
+    // one row per (group, sender), so the merge materializes each row.
+    std::vector<int> gcols(num_keys);
+    std::iota(gcols.begin(), gcols.end(), 0);
     s = ExecuteChildVec(*node.children[0], ctx, [&](ColumnBatch&& b) -> Status {
       GPHTAP_RETURN_IF_ERROR(ctx.Tick(static_cast<int>(b.ActiveRows())));
+      GPHTAP_RETURN_IF_ERROR(resolve(b, gcols));
+      if (num_aggs == 0) return Status::OK();
       for (int32_t r : b.sel) {
-        Row row = b.MaterializeRow(r);
-        std::string key = GroupKeyString(row, gcols);
-        auto it = groups.find(key);
-        if (it == groups.end()) {
-          Row gkey;
-          gkey.reserve(gcols.size());
-          for (int c : gcols) gkey.push_back(row[static_cast<size_t>(c)]);
-          it = groups.emplace(std::move(key), new_group(std::move(gkey))).first;
-          GPHTAP_RETURN_IF_ERROR(mem_status);
-        }
-        int col = static_cast<int>(node.group_cols.size());
-        for (size_t a = 0; a < node.aggs.size(); ++a) {
-          GPHTAP_RETURN_IF_ERROR(
-              AggMergePartial(node.aggs[a], &it->second.states[a], row, col));
+        const Row row = b.MaterializeRow(r);
+        const auto g = static_cast<size_t>(gids[static_cast<size_t>(r)]);
+        int col = static_cast<int>(num_keys);
+        for (size_t a = 0; a < num_aggs; ++a) {
+          GPHTAP_RETURN_IF_ERROR(AggMergePartial(node.aggs[a], &states[a][g], row, col));
           col += AggStateArity(node.aggs[a].fn);
         }
       }
       return Status::OK();
     });
   } else {
+    std::vector<ColumnVector> argvals(num_aggs);
     s = ExecuteChildVec(*node.children[0], ctx, [&](ColumnBatch&& b) -> Status {
       GPHTAP_RETURN_IF_ERROR(ctx.Tick(static_cast<int>(b.ActiveRows())));
       // Evaluate each aggregate's argument once over the whole batch.
-      std::vector<ColumnVector> argvals(node.aggs.size());
-      for (size_t a = 0; a < node.aggs.size(); ++a) {
+      for (size_t a = 0; a < num_aggs; ++a) {
         if (node.aggs[a].arg != nullptr) {
           GPHTAP_RETURN_IF_ERROR(VecEval(*node.aggs[a].arg, b, b.sel, &argvals[a]));
         }
       }
-
-      if (node.group_cols.empty()) {
+      if (num_keys == 0) {
         // Global aggregation: one group, column-at-a-time accumulation.
-        auto it = groups.find("");
-        if (it == groups.end()) {
-          it = groups.emplace("", new_group({})).first;
-          GPHTAP_RETURN_IF_ERROR(mem_status);
-        }
-        for (size_t a = 0; a < node.aggs.size(); ++a) {
-          VecAggUpdate(node.aggs[a].fn, argvals[a], b.sel, &it->second.states[a]);
+        if (b.sel.empty()) return Status::OK();
+        if (groups.size() == 0) GPHTAP_RETURN_IF_ERROR(resolve(b, node.group_cols));
+        for (size_t a = 0; a < num_aggs; ++a) {
+          VecAggUpdate(node.aggs[a].fn, argvals[a], b.sel, &states[a][0]);
         }
         return Status::OK();
       }
-
-      std::string key;
-      for (int32_t r : b.sel) {
-        key.clear();
-        for (int c : node.group_cols) {
-          AppendGroupKeyPart(
-              b.columns[static_cast<size_t>(c)].GetDatum(static_cast<size_t>(r)),
-              &key);
-        }
-        auto it = groups.find(key);
-        if (it == groups.end()) {
-          Row gkey;
-          gkey.reserve(node.group_cols.size());
-          for (int c : node.group_cols) {
-            gkey.push_back(
-                b.columns[static_cast<size_t>(c)].GetDatum(static_cast<size_t>(r)));
-          }
-          it = groups.emplace(key, new_group(std::move(gkey))).first;
-          GPHTAP_RETURN_IF_ERROR(mem_status);
-        }
-        for (size_t a = 0; a < node.aggs.size(); ++a) {
-          AggState& st = it->second.states[a];
-          if (node.aggs[a].fn == AggFunc::kCountStar) {
-            ++st.count;
-          } else {
-            AggUpdateValue(node.aggs[a].fn, &st,
-                           argvals[a].GetDatum(static_cast<size_t>(r)));
-          }
-        }
+      GPHTAP_RETURN_IF_ERROR(resolve(b, node.group_cols));
+      for (size_t a = 0; a < num_aggs; ++a) {
+        VecAggUpdateGrouped(node.aggs[a].fn, argvals[a], b.sel, gids.data(),
+                            states[a].data());
       }
       return Status::OK();
     });
@@ -568,44 +544,23 @@ Status ExecHashAggVec(const PlanNode& node, ExecContext& ctx, const BatchSink& s
   GPHTAP_RETURN_IF_ERROR(s);
 
   // Global aggregates with zero input rows still produce one output group.
-  if (groups.empty() && node.group_cols.empty()) {
-    Group g;
-    g.states.resize(node.aggs.size());
-    groups.emplace("", std::move(g));
+  size_t num_groups = groups.size();
+  if (num_groups == 0 && num_keys == 0) {
+    num_groups = 1;
+    for (auto& st : states) st.resize(1);
   }
-
-  ColumnBatch out;
-  bool shaped = false;
-  for (auto& [key, g] : groups) {
-    Row row = g.key;
-    for (size_t a = 0; a < node.aggs.size(); ++a) {
-      if (node.agg_phase == AggPhase::kPartial) {
-        AggEmitPartial(node.aggs[a], g.states[a], &row);
-      } else {
-        AggEmitFinal(node.aggs[a], g.states[a], &row);
-      }
-    }
-    if (!shaped) {
-      out.Reset(row.size());
-      shaped = true;
-    }
-    out.AppendRow(std::move(row));
-    if (out.rows >= ColumnBatch::kDefaultCapacity) {
-      size_t ncols = out.NumColumns();
-      ColumnBatch full = std::move(out);
-      out = ColumnBatch();
-      out.Reset(ncols);
-      Status es = sink(std::move(full));
-      if (es.code() == StatusCode::kStopIteration) return es;
-      GPHTAP_RETURN_IF_ERROR(es);
-    }
-  }
-  if (out.rows > 0) {
-    Status es = sink(std::move(out));
-    if (es.code() == StatusCode::kStopIteration) return es;
-    GPHTAP_RETURN_IF_ERROR(es);
-  }
-  return Status::OK();
+  return EmitGroups(
+      groups, num_groups,
+      [&](size_t g, Row* values) {
+        for (size_t a = 0; a < num_aggs; ++a) {
+          if (node.agg_phase == AggPhase::kPartial) {
+            AggEmitPartial(node.aggs[a], states[a][g], values);
+          } else {
+            AggEmitFinal(node.aggs[a], states[a][g], values);
+          }
+        }
+      },
+      sink);
 }
 
 Status ExecMotionRecvVec(const PlanNode& node, ExecContext& ctx, const BatchSink& sink) {

@@ -424,9 +424,7 @@ Status VecProjectBatch(const std::vector<ExprPtr>& exprs, const ColumnBatch& in,
       col = std::move(vals);
     } else {
       col.Clear();
-      col.tag = vals.tag;
-      col.Reserve(in.sel.size());
-      for (int32_t r : in.sel) col.AppendFrom(vals, static_cast<size_t>(r));
+      col.AppendGather(vals, in.sel.data(), in.sel.size());
     }
   }
   out->rows = in.sel.size();
@@ -434,14 +432,25 @@ Status VecProjectBatch(const std::vector<ExprPtr>& exprs, const ColumnBatch& in,
   return Status::OK();
 }
 
-uint64_t VecHashRowKey(const ColumnBatch& in, const std::vector<int>& hash_cols,
-                       int32_t r) {
-  // Mirrors HashRowKey(in.MaterializeRow(r), hash_cols) term for term.
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (int c : hash_cols) {
-    h = h * 1099511628211ULL ^ in.columns[static_cast<size_t>(c)].HashAt(static_cast<size_t>(r));
+void VecHashRows(const ColumnBatch& in, const std::vector<int>& cols,
+                 const std::vector<int32_t>& pos, std::vector<uint64_t>* hashes) {
+  // Mirrors HashRowKey term for term: h = h * P ^ Hash(column value).
+  constexpr uint64_t kPrime = 1099511628211ULL;
+  hashes->resize(in.rows);
+  uint64_t* h = hashes->data();
+  for (int32_t r : pos) h[r] = 0x9e3779b97f4a7c15ULL;
+  for (int c : cols) {
+    const ColumnVector& col = in.columns[static_cast<size_t>(c)];
+    if (col.tag == Tag::kInt64 && col.nulls.empty()) {
+      const int64_t* v = col.ints.data();
+      for (int32_t r : pos) h[r] = h[r] * kPrime ^ Datum::HashInt(v[r]);
+    } else if (col.tag == Tag::kDouble && col.nulls.empty()) {
+      const double* v = col.dbls.data();
+      for (int32_t r : pos) h[r] = h[r] * kPrime ^ Datum::HashDouble(v[r]);
+    } else {
+      for (int32_t r : pos) h[r] = h[r] * kPrime ^ col.HashAt(static_cast<size_t>(r));
+    }
   }
-  return h;
 }
 
 Status VecPartitionBatch(const ColumnBatch& in, const std::vector<int>& hash_cols,
@@ -458,8 +467,10 @@ Status VecPartitionBatch(const ColumnBatch& in, const std::vector<int>& hash_col
     b.Reset(in.NumColumns(),
             in.sel.size() / static_cast<size_t>(num_targets) + 1);
   }
+  std::vector<uint64_t> hashes;
+  VecHashRows(in, hash_cols, in.sel, &hashes);
   for (int32_t r : in.sel) {
-    size_t t = static_cast<size_t>(VecHashRowKey(in, hash_cols, r) %
+    size_t t = static_cast<size_t>(hashes[static_cast<size_t>(r)] %
                                    static_cast<uint64_t>(num_targets));
     (*out)[t].AppendSelectedFrom(in, r);
   }
@@ -535,6 +546,54 @@ void VecAggUpdate(AggFunc fn, const ColumnVector& vals,
     return;
   }
   for (int32_t r : pos) AggUpdateValue(fn, s, vals.GetDatum(static_cast<size_t>(r)));
+}
+
+void VecAggUpdateGrouped(AggFunc fn, const ColumnVector& vals,
+                         const std::vector<int32_t>& pos, const int32_t* gids,
+                         AggState* states) {
+  if (fn == AggFunc::kCountStar) {
+    for (int32_t r : pos) ++states[gids[r]].count;
+    return;
+  }
+  if (vals.tag == Tag::kDatum || fn == AggFunc::kMin || fn == AggFunc::kMax) {
+    for (int32_t r : pos) {
+      AggUpdateValue(fn, &states[gids[r]], vals.GetDatum(static_cast<size_t>(r)));
+    }
+    return;
+  }
+  // Typed count / sum / avg: the same steps as AggUpdateValue, unboxed.
+  const uint8_t* nulls = vals.nulls.empty() ? nullptr : vals.nulls.data();
+  if (fn == AggFunc::kCount) {
+    for (int32_t r : pos) states[gids[r]].count += nulls == nullptr || nulls[r] == 0;
+    return;
+  }
+  if (vals.tag == Tag::kInt64) {
+    const int64_t* v = vals.ints.data();
+    for (int32_t r : pos) {
+      if (nulls != nullptr && nulls[r] != 0) continue;
+      AggState& s = states[gids[r]];
+      ++s.count;
+      if (s.sum_is_int) {
+        s.isum += v[r];
+      } else {
+        s.sum += static_cast<double>(v[r]);
+      }
+      s.has_value = true;
+    }
+    return;
+  }
+  const double* v = vals.dbls.data();
+  for (int32_t r : pos) {
+    if (nulls != nullptr && nulls[r] != 0) continue;
+    AggState& s = states[gids[r]];
+    ++s.count;
+    if (s.sum_is_int) {
+      s.sum = static_cast<double>(s.isum);
+      s.sum_is_int = false;
+    }
+    s.sum += v[r];
+    s.has_value = true;
+  }
 }
 
 }  // namespace gphtap

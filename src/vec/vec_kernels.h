@@ -45,16 +45,24 @@ Status VecProjectBatch(const std::vector<ExprPtr>& exprs, const ColumnBatch& in,
 Status VecPartitionBatch(const ColumnBatch& in, const std::vector<int>& hash_cols,
                          int num_targets, std::vector<ColumnBatch>* out);
 
-/// Hash of the key columns at physical row `r`, equal to
-/// HashRowKey(in.MaterializeRow(r), hash_cols) without building the Row.
-uint64_t VecHashRowKey(const ColumnBatch& in, const std::vector<int>& hash_cols,
-                       int32_t r);
+/// Hashes the key columns of every row in `pos`, one column at a time:
+/// (*hashes)[r] equals HashRowKey(in.MaterializeRow(r), cols) without building
+/// the Row. `hashes` is resized to in.rows; only entries at `pos` are set.
+void VecHashRows(const ColumnBatch& in, const std::vector<int>& cols,
+                 const std::vector<int32_t>& pos, std::vector<uint64_t>* hashes);
 
 /// Folds a pre-evaluated argument column (dense by row index) into an
 /// aggregate state for every position in `pos`. Tight unboxed inner loops for
 /// int/double sum/count; falls back to AggUpdateValue otherwise.
 void VecAggUpdate(AggFunc fn, const ColumnVector& vals,
                   const std::vector<int32_t>& pos, AggState* s);
+
+/// Grouped form: folds vals[r] into states[gids[r]] for every r in `pos`, in
+/// row order, so each group's sum sees its values in the order the row engine
+/// would (double sums stay bit-identical). `gids` is dense by row index.
+void VecAggUpdateGrouped(AggFunc fn, const ColumnVector& vals,
+                         const std::vector<int32_t>& pos, const int32_t* gids,
+                         AggState* states);
 
 }  // namespace gphtap
 

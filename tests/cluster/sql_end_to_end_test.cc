@@ -346,6 +346,39 @@ TEST_F(SqlEndToEndTest, DistinctDeduplicates) {
   EXPECT_EQ(r3.rows.size(), 2u);
 }
 
+TEST_F(SqlEndToEndTest, GroupByDoesNotMergeDistinctDoubles) {
+  // Doubles that agree in their first six significant digits are still
+  // distinct group keys; NULLs form one group. Heap and AO-column storage,
+  // each on the batch engine and on the row engine.
+  for (const char* storage : {"heap", "ao_column"}) {
+    const std::string table = std::string("dbl_") + storage;
+    Exec("CREATE TABLE " + table + " (d double, k int) WITH (storage=" + storage +
+         ") DISTRIBUTED BY (k)");
+    Exec("INSERT INTO " + table +
+         " VALUES (1234567.0, 1), (1234568.0, 2), (0.1234561, 3), (0.1234562, 4), "
+         "(1234567.0, 5), (0.1234562, 6), (NULL, 7), (NULL, 8)");
+    for (const char* engine : {"on", "off"}) {
+      Exec(std::string("SET vectorized_execution = ") + engine);
+      const std::string where = table + " with vectorized_execution=" + engine;
+      QueryResult g = Exec("SELECT d, count(*) FROM " + table + " GROUP BY d ORDER BY d");
+      ASSERT_EQ(g.rows.size(), 5u) << where;
+      EXPECT_DOUBLE_EQ(g.rows[0][0].double_val(), 0.1234561) << where;
+      EXPECT_EQ(g.rows[0][1].int_val(), 1) << where;
+      EXPECT_DOUBLE_EQ(g.rows[1][0].double_val(), 0.1234562) << where;
+      EXPECT_EQ(g.rows[1][1].int_val(), 2) << where;
+      EXPECT_DOUBLE_EQ(g.rows[2][0].double_val(), 1234567.0) << where;
+      EXPECT_EQ(g.rows[2][1].int_val(), 2) << where;
+      EXPECT_DOUBLE_EQ(g.rows[3][0].double_val(), 1234568.0) << where;
+      EXPECT_EQ(g.rows[3][1].int_val(), 1) << where;
+      EXPECT_TRUE(g.rows[4][0].is_null()) << where;
+      EXPECT_EQ(g.rows[4][1].int_val(), 2) << where;
+      QueryResult d = Exec("SELECT DISTINCT d FROM " + table);
+      EXPECT_EQ(d.rows.size(), 5u) << where;
+    }
+    Exec("SET vectorized_execution = default");
+  }
+}
+
 TEST_F(SqlEndToEndTest, CreateIndexSpeedsLookupPath) {
   Exec("CREATE TABLE t (c1 int, c2 int) DISTRIBUTED BY (c1)");
   Exec("INSERT INTO t SELECT i, i FROM generate_series(1, 200) i");

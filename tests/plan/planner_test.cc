@@ -334,6 +334,99 @@ TEST(PlannerTest, AllReplicatedRunsOnOneSegment) {
   EXPECT_EQ(planned->gang.size(), 1u);
 }
 
+// Walks to the first HashAgg at or below `n`.
+const PlanNode* FirstHashAgg(const PlanNode& n) {
+  return FindNode(n, PlanKind::kHashAgg);
+}
+
+TEST(PlannerTest, DistinctOnStoredTableDedupsBelowGather) {
+  SelectQuery q;
+  q.tables = {MakeTable(1, "t")};
+  q.items = {ColItem(0, "k"), ColItem(1, "v")};
+  q.distinct = true;
+  auto planned = PlanSelect(q, Opts(4));
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(CountNodes(*planned->root, PlanKind::kHashAgg), 2);
+  // Final dedup on the coordinator, over the gather...
+  const PlanNode& root = *planned->root;
+  ASSERT_EQ(root.kind, PlanKind::kHashAgg);
+  EXPECT_EQ(root.agg_phase, AggPhase::kFinal);
+  EXPECT_EQ(root.group_cols.size(), 2u);
+  ASSERT_EQ(root.children[0]->kind, PlanKind::kMotion);
+  EXPECT_EQ(root.children[0]->motion, MotionKind::kGather);
+  // ...and a partial dedup on every segment below it.
+  const PlanNode* partial = FirstHashAgg(*root.children[0]);
+  ASSERT_NE(partial, nullptr);
+  EXPECT_EQ(partial->agg_phase, AggPhase::kPartial);
+  EXPECT_EQ(partial->group_cols.size(), 2u);
+  EXPECT_TRUE(partial->aggs.empty());
+}
+
+TEST(PlannerTest, DistinctOverGroupByStaysSinglePhase) {
+  SelectQuery q;
+  q.tables = {MakeTable(1, "t")};
+  SelectItem agg;
+  agg.is_agg = true;
+  agg.agg.fn = AggFunc::kCountStar;
+  agg.name = "n";
+  q.items = {ColItem(0, "k"), agg};
+  q.group_by = {0};
+  q.distinct = true;
+  auto planned = PlanSelect(q, Opts(4));
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  // Partial + final aggregation, then one single-phase dedup on top.
+  EXPECT_EQ(CountNodes(*planned->root, PlanKind::kHashAgg), 3);
+  ASSERT_EQ(planned->root->kind, PlanKind::kHashAgg);
+  EXPECT_EQ(planned->root->agg_phase, AggPhase::kSingle);
+  EXPECT_NE(planned->root->children[0]->kind, PlanKind::kMotion);
+}
+
+TEST(PlannerTest, DistinctOnSystemViewStaysSinglePhase) {
+  SelectQuery q;
+  TableDef view = MakeTable(1, "gp_view");
+  view.is_system_view = true;
+  q.tables = {view};
+  q.items = {ColItem(0, "k")};
+  q.distinct = true;
+  auto planned = PlanSelect(q, Opts(4));
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(CountNodes(*planned->root, PlanKind::kMotion), 0);
+  EXPECT_EQ(CountNodes(*planned->root, PlanKind::kHashAgg), 1);
+  ASSERT_EQ(planned->root->kind, PlanKind::kHashAgg);
+  EXPECT_EQ(planned->root->agg_phase, AggPhase::kSingle);
+}
+
+TEST(PlannerTest, JoinFollowsItsProbeSideIntoTheBatchEngine) {
+  // AO-column probe (FROM order puts it first) joined to a heap build side:
+  // the join is vectorized and its heap build scan stays on the row engine.
+  SelectQuery q;
+  TableDef fact = MakeTable(1, "fact");
+  fact.storage = StorageKind::kAoColumn;
+  q.tables = {fact, MakeTable(2, "dim")};
+  q.quals = {Expr::Binary(BinOp::kEq, Expr::Column(0), Expr::Column(2))};
+  q.items = {ColItem(0, "k"), ColItem(3, "v")};
+  PlannerOptions opts = Opts(4);
+  opts.vectorize = true;
+  auto planned = PlanSelect(q, opts);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  const PlanNode* join = FindNode(*planned->root, PlanKind::kHashJoin);
+  ASSERT_NE(join, nullptr);
+  EXPECT_TRUE(join->vectorize);
+  EXPECT_TRUE(join->children[0]->vectorize);
+  const PlanNode* build_scan = FindNode(*join->children[1], PlanKind::kSeqScan);
+  ASSERT_NE(build_scan, nullptr);
+  EXPECT_EQ(build_scan->table, 2u);
+  EXPECT_FALSE(build_scan->vectorize);
+
+  // With the heap table as the probe side, the join stays on the row engine.
+  q.tables = {MakeTable(2, "dim"), fact};
+  auto flipped = PlanSelect(q, opts);
+  ASSERT_TRUE(flipped.ok()) << flipped.status().ToString();
+  const PlanNode* row_join = FindNode(*flipped->root, PlanKind::kHashJoin);
+  ASSERT_NE(row_join, nullptr);
+  EXPECT_FALSE(row_join->vectorize);
+}
+
 TEST(PlannerTest, EmptyFromRejected) {
   SelectQuery q;
   q.items = {ColItem(0, "k")};

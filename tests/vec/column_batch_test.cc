@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/agg_ops.h"
+#include "vec/hash_table.h"
 #include "vec/vec_kernels.h"
 
 namespace gphtap {
@@ -309,6 +310,170 @@ TEST(VecKernelsTest, SumSwitchesToDoubleMidColumn) {
   ASSERT_EQ(ve.size(), 1u);
   EXPECT_EQ(ve[0].Compare(re[0]), 0);
   EXPECT_DOUBLE_EQ(ve[0].AsDouble(), 9.5);
+}
+
+TEST(ColumnBatchTest, AppendGatherMatchesAppendFrom) {
+  ColumnBatch b = TestBatch();
+  const std::vector<int32_t> idx = {4, 2, 2, 0, 3};
+  for (const ColumnVector& src : b.columns) {
+    // Into an empty column, and into one already holding a value of another
+    // type (the typed payload demotes, exactly as AppendFrom does).
+    for (const Datum& seed : {Datum::Null(), Datum("x")}) {
+      ColumnVector gathered, reference;
+      if (!seed.is_null()) {
+        gathered.Append(seed);
+        reference.Append(seed);
+      }
+      gathered.AppendGather(src, idx.data(), idx.size());
+      for (int32_t r : idx) reference.AppendFrom(src, static_cast<size_t>(r));
+      ASSERT_EQ(gathered.size(), reference.size());
+      EXPECT_EQ(gathered.tag, reference.tag);
+      for (size_t i = 0; i < gathered.size(); ++i) {
+        EXPECT_EQ(gathered.IsNull(i), reference.IsNull(i)) << i;
+        EXPECT_EQ(gathered.GetDatum(i).Compare(reference.GetDatum(i)), 0) << i;
+      }
+    }
+  }
+}
+
+TEST(ColumnBatchTest, EqualAtFollowsDatumCompare) {
+  const std::vector<Datum> values = {
+      Datum::Null(),      Datum(int64_t{1}), Datum(1.0),        Datum(int64_t{2}),
+      Datum(1234567.0),   Datum(1234568.0),  Datum(0.1234561),  Datum(0.1234562),
+      Datum("1"),         Datum("a"),        Datum(-0.0),       Datum(int64_t{0})};
+  // Each value alone in a typed column where possible, and boxed.
+  std::vector<ColumnVector> cols;
+  for (const Datum& d : values) {
+    ColumnVector typed;
+    typed.Append(d);
+    ColumnVector boxed = typed;
+    boxed.Demote();
+    cols.push_back(std::move(typed));
+    cols.push_back(std::move(boxed));
+  }
+  for (const ColumnVector& a : cols) {
+    for (const ColumnVector& b : cols) {
+      EXPECT_EQ(a.EqualAt(0, b, 0), a.GetDatum(0).Compare(b.GetDatum(0)) == 0)
+          << a.GetDatum(0).ToString() << " vs " << b.GetDatum(0).ToString();
+    }
+  }
+}
+
+TEST(VecHashTableTest, GroupsUnderDatumEquality) {
+  VecHashTable table(1);
+  std::vector<int32_t> ids;
+  ColumnBatch ints = ColumnBatch::FromRows(
+      {{Datum(int64_t{1})}, {Datum::Null()}, {Datum(int64_t{2})}, {Datum::Null()},
+       {Datum(int64_t{1})}});
+  table.FindOrInsert(ints, {0}, &ids);
+  EXPECT_EQ(table.size(), 3u);  // 1, NULL, 2
+  EXPECT_EQ(ids, (std::vector<int32_t>{0, 1, 2, 1, 0}));
+  // A double column: 1.0 joins the int 1 group, NULL the NULL group, and
+  // doubles equal in six significant digits stay apart.
+  ColumnBatch dbls = ColumnBatch::FromRows(
+      {{Datum(1.0)}, {Datum(1234567.0)}, {Datum(1234568.0)}, {Datum::Null()},
+       {Datum(1234567.0)}});
+  table.FindOrInsert(dbls, {0}, &ids);
+  EXPECT_EQ(table.size(), 5u);
+  EXPECT_EQ(ids, (std::vector<int32_t>{0, 3, 4, 1, 3}));
+  // The row-engine form resolves through the same entries.
+  EXPECT_EQ(table.FindOrInsert(Row{Datum(2.0)}, {0}), 2);
+  EXPECT_EQ(table.FindOrInsert(Row{Datum::Null()}, {0}), 1);
+  EXPECT_EQ(table.FindOrInsert(Row{Datum("2")}, {0}), 5);
+  EXPECT_EQ(table.size(), 6u);
+  // Only live rows are resolved.
+  ColumnBatch sparse = ColumnBatch::FromRows({{Datum(int64_t{9})}, {Datum(int64_t{2})}});
+  sparse.sel = {1};
+  table.FindOrInsert(sparse, {0}, &ids);
+  EXPECT_EQ(ids[1], 2);
+  EXPECT_EQ(table.size(), 6u);
+}
+
+TEST(VecHashTableTest, ManyGroupsKeepTheirIdsAcrossGrowth) {
+  VecHashTable row_table(2);
+  VecHashTable batch_table(2);
+  std::vector<int32_t> ids;
+  for (int64_t start = 0; start < 20000; start += 1000) {
+    std::vector<Row> rows;
+    for (int64_t i = start; i < start + 1000; ++i) {
+      rows.push_back({Datum(i % 5000), Datum(static_cast<double>(i / 5000) + 0.5)});
+    }
+    ColumnBatch b = ColumnBatch::FromRows(rows);
+    batch_table.FindOrInsert(b, {0, 1}, &ids);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(ids[r], start + static_cast<int64_t>(r));
+      EXPECT_EQ(row_table.FindOrInsert(rows[r], {0, 1}), ids[r]);
+    }
+  }
+  EXPECT_EQ(batch_table.size(), 20000u);
+  // A second pass finds every key without inserting.
+  std::vector<Row> again = {{Datum(int64_t{4999}), Datum(3.5)}, {Datum(int64_t{7}), Datum(0.5)}};
+  batch_table.FindOrInsert(ColumnBatch::FromRows(again), {0, 1}, &ids);
+  EXPECT_EQ(ids, (std::vector<int32_t>{19999, 7}));
+  EXPECT_EQ(batch_table.size(), 20000u);
+}
+
+TEST(VecHashTableTest, JoinProbeChainsDuplicatesAndSkipsNullKeys) {
+  // Build rows (key, payload): key 1 twice, a NULL key, key 3.
+  ColumnBatch build = ColumnBatch::FromRows(
+      {{Datum(int64_t{1}), Datum("a")}, {Datum(int64_t{3}), Datum("b")},
+       {Datum(int64_t{1}), Datum("c")}, {Datum::Null(), Datum("d")}});
+  const VecHashTable table(std::move(build), {0});
+  ASSERT_EQ(table.size(), 4u);
+  // Probe with doubles: 1.0 matches both key-1 rows in build order, NULL
+  // matches nothing (not even the NULL build key), 3.0 matches, 4.5 misses.
+  ColumnBatch probe = ColumnBatch::FromRows(
+      {{Datum(4.5)}, {Datum(1.0)}, {Datum::Null()}, {Datum(3.0)}});
+  std::vector<int32_t> probe_rows, entry_ids;
+  table.Probe(probe, {0}, &probe_rows, &entry_ids);
+  EXPECT_EQ(probe_rows, (std::vector<int32_t>{1, 1, 3}));
+  EXPECT_EQ(entry_ids, (std::vector<int32_t>{0, 2, 1}));
+  EXPECT_EQ(table.entries().columns[1].GetDatum(2).string_val(), "c");
+}
+
+TEST(VecKernelsTest, GroupedAggUpdateMatchesRowAccumulation) {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 60; ++i) {
+    rows.push_back(Row{i % 9 == 0 ? Datum::Null() : Datum(i),
+                       i % 7 == 0 ? Datum::Null() : Datum(static_cast<double>(i) * 0.1),
+                       Datum("s" + std::to_string(i % 4))});
+  }
+  ColumnBatch b = ColumnBatch::FromRows(rows);
+  std::vector<int32_t> gids(b.rows);
+  for (size_t r = 0; r < b.rows; ++r) gids[r] = static_cast<int32_t>((r * 7) % 3);
+  b.sel.erase(b.sel.begin() + 10, b.sel.begin() + 15);  // a sparse selection
+  for (AggFunc fn : {AggFunc::kCountStar, AggFunc::kCount, AggFunc::kSum,
+                     AggFunc::kAvg, AggFunc::kMin, AggFunc::kMax}) {
+    for (size_t col = 0; col < b.NumColumns(); ++col) {
+      if ((fn == AggFunc::kSum || fn == AggFunc::kAvg) && col == 2) continue;
+      std::vector<AggState> vec_states(3), row_states(3);
+      // The double column first, so int sums also meet an already-widened
+      // accumulator.
+      VecAggUpdateGrouped(fn, b.columns[1], b.sel, gids.data(), vec_states.data());
+      VecAggUpdateGrouped(fn, b.columns[col], b.sel, gids.data(), vec_states.data());
+      for (size_t c : {size_t{1}, col}) {
+        for (int32_t r : b.sel) {
+          AggUpdateValue(fn, &row_states[static_cast<size_t>(gids[static_cast<size_t>(r)])],
+                         b.columns[c].GetDatum(static_cast<size_t>(r)));
+        }
+      }
+      for (size_t g = 0; g < 3; ++g) {
+        Row vec_emit, row_emit;
+        AggEmitFinal(AggSpec{fn, nullptr}, vec_states[g], &vec_emit);
+        AggEmitFinal(AggSpec{fn, nullptr}, row_states[g], &row_emit);
+        ASSERT_EQ(vec_emit.size(), 1u);
+        // Bit-identical, doubles included: same values folded in the same order.
+        EXPECT_EQ(vec_emit[0].is_double(), row_emit[0].is_double());
+        if (vec_emit[0].is_double()) {
+          EXPECT_EQ(vec_emit[0].double_val(), row_emit[0].double_val())
+              << AggFuncName(fn) << " col " << col << " group " << g;
+        } else {
+          EXPECT_EQ(vec_emit[0].Compare(row_emit[0]), 0)
+              << AggFuncName(fn) << " col " << col << " group " << g;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,28 @@ std::string RowText(const Row& row) {
 std::vector<std::string> SortedRows(const QueryResult& r) {
   std::vector<std::string> out;
   for (const Row& row : r.rows) out.push_back(RowText(row));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Like SortedRows, but doubles print with every significant digit, so values
+// that agree in their first six digits still read differently.
+std::vector<std::string> SortedExactRows(const QueryResult& r) {
+  std::vector<std::string> out;
+  for (const Row& row : r.rows) {
+    std::string s;
+    for (const Datum& d : row) {
+      if (d.is_double()) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", d.double_val());
+        s += buf;
+      } else {
+        s += d.is_null() ? "NULL" : d.ToString();
+      }
+      s += "|";
+    }
+    out.push_back(std::move(s));
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -179,8 +203,9 @@ TEST(VecDifferentialTest, NullsInEveryColumnTypeAgreeAcrossEngines) {
 }
 
 // A vectorized AO-column scan feeding a join against a heap table: the heap
-// side cannot vectorize, so the join bridges engines mid-stream. The counted
-// fallback is the boundary where batches re-materialize into rows.
+// side cannot vectorize, so the join bridges engines mid-stream. The join
+// follows its AO-column probe side onto the batch engine; the counted
+// fallback is the heap build side, whose rows are packed into batches.
 TEST(VecDifferentialTest, MidStreamFallbackAtJoinBoundaryAgrees) {
   auto make = [](bool vectorized) {
     ClusterOptions options;
@@ -223,6 +248,180 @@ TEST(VecDifferentialTest, MidStreamFallbackAtJoinBoundaryAgrees) {
   // The vec cluster both ran batches and bridged at least one boundary.
   EXPECT_GT(vec_cluster->StatsSnapshot().counter("vec.batches"), 0u);
   EXPECT_GT(vec_cluster->StatsSnapshot().counter("vec.fallbacks"), 0u);
+}
+
+// The same statements on a batch-engine cluster and a row-engine cluster.
+class EnginePair {
+ public:
+  EnginePair() {
+    for (bool vectorized : {true, false}) {
+      ClusterOptions options;
+      options.num_segments = 3;
+      options.vectorized_execution_enabled = vectorized;
+      clusters_.push_back(std::make_unique<Cluster>(options));
+      sessions_.push_back(clusters_.back()->Connect());
+    }
+  }
+
+  Cluster& vec_cluster() { return *clusters_[0]; }
+
+  // Runs `sql` on both clusters; false (with a test failure) if either fails.
+  bool Run(const std::string& sql, QueryResult* vec = nullptr,
+           QueryResult* row = nullptr) {
+    QueryResult* out[] = {vec, row};
+    for (size_t i = 0; i < 2; ++i) {
+      auto r = sessions_[i]->Execute(sql);
+      if (!r.ok()) {
+        ADD_FAILURE() << (i == 0 ? "vec: " : "row: ") << sql << ": "
+                      << r.status().ToString();
+        return false;
+      }
+      if (out[i] != nullptr) *out[i] = std::move(*r);
+    }
+    return true;
+  }
+
+  // Runs `sql` on both clusters and expects the same rows, compared exactly
+  // and in any order. Returns the batch engine's result.
+  QueryResult Agree(const std::string& sql, const std::string& context) {
+    QueryResult vec, row;
+    if (!Run(sql, &vec, &row)) return vec;
+    EXPECT_EQ(SortedExactRows(vec), SortedExactRows(row)) << context << ": " << sql;
+    return vec;
+  }
+
+ private:
+  std::vector<std::unique_ptr<Cluster>> clusters_;
+  std::vector<std::unique_ptr<Session>> sessions_;
+};
+
+// Inserts `rows` (each a parenthesized VALUES tuple) in chunks.
+void InsertValues(EnginePair* engines, const std::string& table,
+                  const std::vector<std::string>& rows) {
+  for (size_t begin = 0; begin < rows.size(); begin += 1000) {
+    std::string sql = "INSERT INTO " + table + " VALUES ";
+    for (size_t i = begin; i < std::min(rows.size(), begin + 1000); ++i) {
+      if (i > begin) sql += ", ";
+      sql += rows[i];
+    }
+    ASSERT_TRUE(engines->Run(sql));
+  }
+}
+
+// Hash aggregation and DISTINCT on the shared hash table: more than 20k groups
+// (many output batches), multi-column keys with NULLs, and double keys that
+// agree in their first six significant digits.
+TEST(VecDifferentialTest, HashAggregationAgreesAcrossEngines) {
+  for (uint64_t seed : {42u, 1337u, 7u}) {
+    const std::string ctx = "seed " + std::to_string(seed);
+    EnginePair engines;
+    ASSERT_TRUE(engines.Run("CREATE TABLE g (k int, grp int, a int, b text, d double, "
+                            "v int) WITH (storage=ao_column) DISTRIBUTED BY (k)"));
+    Rng rng(seed);
+    constexpr int kRows = 30000;
+    constexpr int kGroups = 22003;
+    std::set<std::string> distinct_d;
+    std::vector<std::string> rows;
+    for (int k = 0; k < kRows; ++k) {
+      const int grp = static_cast<int>((k * 7919 + seed) % kGroups);
+      const std::string a = rng.Chance(0.2) ? "NULL" : std::to_string(rng.Uniform(4));
+      const std::string b =
+          rng.Chance(0.2) ? "NULL" : "'s" + std::to_string(rng.Uniform(3)) + "'";
+      std::string d = "NULL";
+      if (!rng.Chance(0.1)) {
+        d = rng.Chance(0.5) ? "1000000.00" + std::to_string(1000 + rng.Uniform(40))
+                            : "0.12345" + std::to_string(60 + rng.Uniform(9));
+      }
+      distinct_d.insert(d);
+      rows.push_back("(" + std::to_string(k) + ", " + std::to_string(grp) + ", " + a +
+                     ", " + b + ", " + d + ", " + std::to_string(rng.Uniform(1000)) + ")");
+    }
+    InsertValues(&engines, "g", rows);
+
+    QueryResult big = engines.Agree(
+        "SELECT grp, count(*), sum(v), min(k), max(k) FROM g GROUP BY grp", ctx);
+    EXPECT_EQ(big.rows.size(), static_cast<size_t>(kGroups)) << ctx;
+    engines.Agree("SELECT a, b, count(*), sum(v), min(d), max(d) FROM g GROUP BY a, b",
+                  ctx);
+    engines.Agree("SELECT b, d, a, count(*) FROM g GROUP BY b, d, a", ctx);
+    QueryResult by_d = engines.Agree("SELECT d, count(*), sum(v) FROM g GROUP BY d", ctx);
+    EXPECT_EQ(by_d.rows.size(), distinct_d.size()) << ctx;
+
+    // Two-phase DISTINCT.
+    QueryResult all_ab = engines.Agree("SELECT DISTINCT a, b FROM g", ctx);
+    QueryResult all_d = engines.Agree("SELECT DISTINCT d FROM g", ctx);
+    EXPECT_EQ(all_d.rows.size(), distinct_d.size()) << ctx;
+    engines.Agree("SELECT DISTINCT grp, a FROM g WHERE v < 500", ctx);
+    engines.Agree("SELECT DISTINCT grp FROM g ORDER BY grp LIMIT 50", ctx);
+    // Without ORDER BY, LIMIT may pick any distinct rows: each engine must
+    // return that many, all different, all from the full distinct set.
+    const std::vector<std::string> full = SortedExactRows(all_ab);
+    QueryResult vec, row;
+    ASSERT_TRUE(engines.Run("SELECT DISTINCT a, b FROM g LIMIT 7", &vec, &row));
+    for (const QueryResult* r : {&vec, &row}) {
+      const std::vector<std::string> got = SortedExactRows(*r);
+      EXPECT_EQ(got.size(), std::min<size_t>(7, full.size())) << ctx;
+      EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end()) << ctx;
+      EXPECT_TRUE(std::includes(full.begin(), full.end(), got.begin(), got.end())) << ctx;
+    }
+  }
+}
+
+// Join keys compare under Datum equality: an int key matches an integral
+// double (1 = 1.0) whichever side builds, and whether the build side is an
+// AO-column scan or a packed heap scan.
+TEST(VecDifferentialTest, IntAndDoubleJoinKeysAgreeAcrossEngines) {
+  for (uint64_t seed : {42u, 1337u, 7u}) {
+    const std::string ctx = "seed " + std::to_string(seed);
+    EnginePair engines;
+    ASSERT_TRUE(engines.Run(
+        "CREATE TABLE ints (k int, x int) WITH (storage=ao_column) DISTRIBUTED BY (k)"));
+    ASSERT_TRUE(engines.Run("CREATE TABLE dbls (w int, y double) "
+                            "WITH (storage=ao_column) DISTRIBUTED BY (w)"));
+    ASSERT_TRUE(engines.Run(
+        "CREATE TABLE dbls_heap (w int, y double) WITH (storage=heap) DISTRIBUTED BY (w)"));
+    Rng rng(seed);
+    std::vector<int> xs;  // -1 = NULL
+    std::vector<std::string> int_rows;
+    for (int k = 0; k < 3000; ++k) {
+      const int x = rng.Chance(0.05) ? -1 : static_cast<int>(rng.Uniform(60));
+      xs.push_back(x);
+      int_rows.push_back("(" + std::to_string(k) + ", " +
+                         (x < 0 ? std::string("NULL") : std::to_string(x)) + ")");
+    }
+    std::vector<int> integral_ys;  // y values equal to an int
+    std::vector<std::string> dbl_rows;
+    for (int w = 0; w < 200; ++w) {
+      std::string y = "NULL";
+      if (!rng.Chance(0.05)) {
+        const int whole = static_cast<int>(rng.Uniform(80));
+        const bool integral = rng.Chance(0.5);
+        y = std::to_string(whole) + (integral ? ".0" : ".5");
+        if (integral) integral_ys.push_back(whole);
+      }
+      dbl_rows.push_back("(" + std::to_string(w) + ", " + y + ")");
+    }
+    InsertValues(&engines, "ints", int_rows);
+    InsertValues(&engines, "dbls", dbl_rows);
+    InsertValues(&engines, "dbls_heap", dbl_rows);
+    size_t expected = 0;
+    for (int x : xs) {
+      expected += static_cast<size_t>(std::count(integral_ys.begin(), integral_ys.end(), x));
+    }
+    ASSERT_GT(expected, 0u) << ctx;
+
+    for (const char* sql : {
+             "SELECT i.k, d.w FROM ints i JOIN dbls d ON i.x = d.y",
+             "SELECT d.w, i.k FROM dbls d JOIN ints i ON d.y = i.x",
+             "SELECT i.k, d.w FROM ints i JOIN dbls_heap d ON i.x = d.y",
+         }) {
+      EXPECT_EQ(engines.Agree(sql, ctx).rows.size(), expected) << ctx << ": " << sql;
+    }
+    engines.Agree("SELECT i.x, count(*), min(d.w) FROM ints i JOIN dbls d "
+                  "ON i.x = d.y GROUP BY i.x",
+                  ctx);
+    EXPECT_GT(engines.vec_cluster().StatsSnapshot().counter("vec.batches"), 0u) << ctx;
+  }
 }
 
 // Morsel-parallel scans must be indistinguishable from serial ones: same

@@ -98,10 +98,10 @@ TEST(VecExecutorTest, LimitStopsBatchProduction) {
   EXPECT_EQ(r->rows.size(), 17u);
 }
 
-TEST(VecExecutorTest, JoinFallsBackWithVectorizedLeaves) {
-  // dim is a heap table, so the join itself stays on the row engine; the
-  // AO-column scan under it is still marked, exercising the batch->row
-  // boundary inside a join pipeline.
+TEST(VecExecutorTest, JoinOverHeapBuildSideMatchesRowEngine) {
+  // dim is a heap table: its scan runs on the row engine and is packed into
+  // the batch join's build table, while the AO-column probe side and the
+  // join itself stay batched.
   ExpectSameResults(
       "SELECT f.grp, count(*) AS n, sum(f.v) AS s FROM fact f "
       "JOIN dim d ON f.grp = d.grp GROUP BY f.grp ORDER BY f.grp");
@@ -139,6 +139,49 @@ TEST(VecExecutorTest, ExplainAnalyzeShowsVectorizedHashJoin) {
   EXPECT_TRUE(join_vectorized_with_batches)
       << "no vectorized HashJoin with batch counts in:\n"
       << text;
+}
+
+TEST(VecExecutorTest, ExplainShowsVectorizedJoinOverHeapBuild) {
+  auto cluster = MakeCluster(true);
+  Load(cluster.get());
+  auto plan = cluster->Connect()->Execute(
+      "EXPLAIN SELECT f.k, d.name FROM fact f JOIN dim d ON f.grp = d.grp");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<std::string> lines;
+  for (const Row& row : plan->rows) lines.push_back(RowText(row));
+  std::string text;
+  for (const std::string& l : lines) text += l + "\n";
+  bool join_vectorized = false;
+  bool heap_scan_unmarked = false;
+  for (const std::string& l : lines) {
+    const bool marked = l.find("(vectorized)") != std::string::npos;
+    if (l.find("HashJoin") != std::string::npos) join_vectorized = marked;
+    if (l.find("SeqScan") != std::string::npos &&
+        l.find("store=heap") != std::string::npos) {
+      heap_scan_unmarked = !marked;
+    }
+  }
+  EXPECT_TRUE(join_vectorized) << text;
+  EXPECT_TRUE(heap_scan_unmarked) << text;
+}
+
+TEST(VecExecutorTest, ExplainShowsPartialDistinctBelowGather) {
+  auto cluster = MakeCluster(true);
+  Load(cluster.get());
+  auto plan = cluster->Connect()->Execute("EXPLAIN SELECT DISTINCT grp, v FROM fact");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::string text;
+  for (const Row& row : plan->rows) text += RowText(row) + "\n";
+  // Final dedup (phase=2) on top, the gather, then the per-segment partial
+  // dedup (phase=1); all batched.
+  const size_t final_agg = text.find("HashAgg phase=2 groups=2 aggs=0 (vectorized)");
+  const size_t gather = text.find("Gather");
+  const size_t partial = text.find("HashAgg phase=1 groups=2 aggs=0 (vectorized)");
+  ASSERT_NE(final_agg, std::string::npos) << text;
+  ASSERT_NE(gather, std::string::npos) << text;
+  ASSERT_NE(partial, std::string::npos) << text;
+  EXPECT_LT(final_agg, gather) << text;
+  EXPECT_LT(gather, partial) << text;
 }
 
 TEST(VecExecutorTest, DistinctOverVectorizedScan) {
