@@ -13,7 +13,7 @@ cmake --build build -j "$(nproc)"
 cmake -B build-tsan -S . -DGPHTAP_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)"
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" -R \
-  'lock_manager_test|lock_modes_test|gdd_daemon_test|gdd_algorithm_test|gdd_cases_test|commit_protocol_test|mirror_test|fault_injector_test|crash_recovery_test|failover_test|metrics_test|observability_test|motion_exchange_test|column_batch_test|vec_executor_test|vec_differential_test|ao_visibility_test|ao_compaction_test|reorg_test|expand_test|wait_event_test|system_views_test|timeout_test|chaos_test|plan_cache_test|prepare_execute_test|delta_store_test|delta_scan_test|delta_differential_test|stats_test|stats_views_test|frontend_test')
+  'lock_manager_test|lock_modes_test|gdd_daemon_test|gdd_algorithm_test|gdd_cases_test|commit_protocol_test|mirror_test|fault_injector_test|crash_recovery_test|failover_test|metrics_test|observability_test|motion_exchange_test|column_batch_test|vec_executor_test|vec_differential_test|ao_visibility_test|ao_compaction_test|reorg_test|expand_test|wait_event_test|system_views_test|timeout_test|chaos_test|plan_cache_test|prepare_execute_test|delta_store_test|delta_scan_test|delta_differential_test|stats_test|stats_views_test|frontend_test|runtime_test')
 
 # The columnar storage and executor tests again under AddressSanitizer: row
 # groups own their MVCC arrays and open-run vectors, and those move between
@@ -22,11 +22,12 @@ cmake --build build-tsan -j "$(nproc)"
 # query memory from local chunks, so the codec, resource-group, executor and
 # planner tests run here too. The hash table behind GROUP BY, DISTINCT and the
 # batch hash join indexes raw slot and group-id arrays, so the column-batch
-# and end-to-end SQL tests run here as well.
+# and end-to-end SQL tests run here as well. Runtime workers outlive the
+# statements whose locals their tasks capture, so the runtime test runs here.
 cmake -B build-asan -S . -DGPHTAP_SANITIZE=address
 cmake --build build-asan -j "$(nproc)"
 (cd build-asan && ctest --output-on-failure -j "$(nproc)" -R \
-  'storage_kinds_test|ao_visibility_test|ao_compaction_test|compression_test|delta_store_test|delta_scan_test|delta_differential_test|vec_executor_test|vec_differential_test|reorg_test|expand_test|crash_recovery_test|resgroup_test|resgroup_sql_test|executor_test|planner_test|sql_end_to_end_test|column_batch_test')
+  'storage_kinds_test|ao_visibility_test|ao_compaction_test|compression_test|delta_store_test|delta_scan_test|delta_differential_test|vec_executor_test|vec_differential_test|reorg_test|expand_test|crash_recovery_test|resgroup_test|resgroup_sql_test|executor_test|planner_test|sql_end_to_end_test|column_batch_test|runtime_test')
 
 # Advisory bench diffing: the previous run's BENCH_*.json is kept as .prev and
 # a per-series tps/p99 delta table is printed after each fresh run. Informative
@@ -201,9 +202,10 @@ print(f"BENCH delta json OK: {len(doc['points'])} points, "
 EOF
 
 # Stats-collector overhead: TPC-B with gp_stat_statements + the history
-# daemon on vs off, interleaved repeats, median per mode. Gate: the collector
-# costs at most 2% throughput (with slack for smoke-run noise handled by the
-# interleaved-median measurement itself).
+# daemon on vs off, interleaved repeats, median of the per-pair ratios. Gate:
+# the collector costs at most 2% more process CPU per committed transaction. CPU per
+# transaction, not throughput, because throughput on a shared box spreads
+# several times the bound from run to run.
 snapshot_prev BENCH_stats.json
 (cd build && GPHTAP_BENCH_MS=200 ./bench/bench_stats --smoke)
 diff_prev BENCH_stats.json
@@ -213,19 +215,20 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc["bench"] == "stats", doc
 points = {p["series"]: p for p in doc["points"]}
-required = {"throughput_tps", "p50_us", "p95_us", "p99_us", "best_tps"}
+required = {"throughput_tps", "p50_us", "p95_us", "p99_us", "best_tps", "cpu_us_per_txn"}
 for name in ("Stats/Overhead/StatsOn", "Stats/Overhead/StatsOff"):
     assert name in points, f"missing {name} in {sorted(points)}"
     missing = required - set(points[name])
     assert not missing, f"{name} missing {missing}"
 on = points["Stats/Overhead/StatsOn"]
 off = points["Stats/Overhead/StatsOff"]
-assert on["best_tps"] > 0 and off["best_tps"] > 0, (on, off)
+assert on["cpu_us_per_txn"] > 0 and off["cpu_us_per_txn"] > 0, (on, off)
 overhead = on["overhead_pct"]
-print(f"BENCH stats json OK: stats-on {on['best_tps']:.0f} tps vs "
-      f"stats-off {off['best_tps']:.0f} tps ({overhead:+.2f}% overhead)")
+print(f"BENCH stats json OK: stats-on {on['cpu_us_per_txn']:.1f} us CPU/txn vs "
+      f"stats-off {off['cpu_us_per_txn']:.1f} us CPU/txn ({overhead:+.2f}% overhead; "
+      f"best {on['best_tps']:.0f} vs {off['best_tps']:.0f} tps)")
 assert overhead <= 2.0, (
-    f"stats collector overhead {overhead:.2f}% exceeds the 2% budget")
+    f"stats collector overhead {overhead:.2f}% CPU per transaction exceeds the 2% budget")
 EOF
 
 # Front-door session scaling: 50k logical sessions must be admitted and

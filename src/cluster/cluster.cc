@@ -15,8 +15,22 @@
 
 namespace gphtap {
 
+namespace {
+
+// Idle workers kept for reuse. Concurrent statements each lease about one
+// worker per segment, so twice the larger of the segment and core counts
+// keeps steady OLTP and scan load spawn-free while bounding what a burst of
+// wide statements leaves parked.
+size_t RuntimeIdleCap(const ClusterOptions& options) {
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  return 2 * std::max(static_cast<size_t>(std::max(options.num_segments, 1)), cores);
+}
+
+}  // namespace
+
 Cluster::Cluster(ClusterOptions options)
     : options_(options),
+      runtime_(RuntimeIdleCap(options), metrics_.counter("runtime.thread_spawns")),
       coordinator_wal_(options.fsync_cost_us),
       coordinator_locks_(-1, options.locks),
       coordinator_txns_(&coordinator_clog_, &coordinator_dlog_, &coordinator_wal_),
@@ -142,7 +156,7 @@ Cluster::Cluster(ClusterOptions options)
 
   metrics_history_ = std::make_unique<MetricsHistory>(options.stats_history_capacity);
   if (options.stats_history_period_us > 0) {
-    stats_history_running_.store(true);
+    stats_history_running_ = true;
     stats_history_thread_ = std::thread([this] { StatsHistoryLoop(); });
   }
 
@@ -158,7 +172,12 @@ Cluster::~Cluster() {
     frontend_->Stop();
     frontend_.reset();
   }
-  if (stats_history_running_.exchange(false) && stats_history_thread_.joinable()) {
+  if (stats_history_thread_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(stats_history_mu_);
+      stats_history_running_ = false;
+    }
+    stats_history_cv_.notify_all();
     stats_history_thread_.join();
   }
   if (dtx_recovery_) dtx_recovery_->Stop();
@@ -176,6 +195,7 @@ Cluster::~Cluster() {
   if (maintenance_running_.exchange(false) && maintenance_thread_.joinable()) {
     maintenance_thread_.join();
   }
+  runtime_.Shutdown();
 }
 
 void Cluster::MaintenanceLoop() {
@@ -703,17 +723,15 @@ void Cluster::CaptureHistoryTick() {
 }
 
 void Cluster::StatsHistoryLoop() {
-  while (stats_history_running_.load(std::memory_order_relaxed)) {
+  std::unique_lock<std::mutex> lock(stats_history_mu_);
+  while (stats_history_running_) {
+    lock.unlock();
     CaptureHistoryTick();
-    // Chunked sleep so Stop is prompt (same pattern as the seal daemon).
-    int64_t slept = 0;
-    while (slept < options_.stats_history_period_us &&
-           stats_history_running_.load(std::memory_order_relaxed)) {
-      const int64_t chunk =
-          std::min<int64_t>(options_.stats_history_period_us - slept, 1000);
-      std::this_thread::sleep_for(std::chrono::microseconds(chunk));
-      slept += chunk;
-    }
+    lock.lock();
+    // Woken early by the destructor, so Stop is prompt without polling.
+    stats_history_cv_.wait_for(lock,
+                               std::chrono::microseconds(options_.stats_history_period_us),
+                               [this] { return !stats_history_running_; });
   }
 }
 

@@ -5,6 +5,7 @@
 #define GPHTAP_CLUSTER_CLUSTER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -21,6 +22,7 @@
 #include "cluster/mirror.h"
 #include "cluster/segment.h"
 #include "cluster/session_registry.h"
+#include "common/exec_runtime.h"
 #include "common/fault_injector.h"
 #include "common/metrics.h"
 #include "frontend/frontend_options.h"
@@ -323,6 +325,10 @@ class Cluster {
   /// Per-segment up/down + mirror replication lag + FTS counters.
   ClusterHealth Health();
 
+  /// Worker threads for every per-statement fan-out: motion producers, 2PC
+  /// phases, multi-segment DML and morsel workers (see exec_runtime.h).
+  ExecRuntime& runtime() { return runtime_; }
+
   // ---- Observability ----
   MetricsRegistry& metrics() { return metrics_; }
   SlowQueryLog& slow_query_log() { return slow_query_log_; }
@@ -464,6 +470,8 @@ class Cluster {
   // Declared before every consumer: subsystems resolve metric pointers into
   // this registry at construction and may update them until their own dtors.
   MetricsRegistry metrics_;
+  // Shut down explicitly in ~Cluster once no session can be mid-statement.
+  ExecRuntime runtime_;
   SlowQueryLog slow_query_log_;
   std::atomic<uint64_t> next_trace_id_{0};
   WaitEventRegistry wait_events_;
@@ -530,7 +538,9 @@ class Cluster {
   std::thread delta_seal_thread_;
 
   void StatsHistoryLoop();
-  std::atomic<bool> stats_history_running_{false};
+  std::mutex stats_history_mu_;
+  std::condition_variable stats_history_cv_;
+  bool stats_history_running_ = false;  // guarded by stats_history_mu_
   std::thread stats_history_thread_;
 
   // Constructed last (its sessions touch every subsystem) and stopped first

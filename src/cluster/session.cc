@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
-#include <thread>
+#include <optional>
 
 #include "common/clock.h"
 #include "exec/executor.h"
@@ -355,29 +355,21 @@ Status Session::CommitProtocol() {
     }
   } else {
     // Two-phase commit: PREPARE everywhere, coordinator commit record, then
-    // COMMIT PREPARED everywhere. Phases fan out in parallel, as the real
-    // dispatcher does.
-    // Fanout threads inherit the session's wait context so per-segment ack
-    // waits attribute to this session; `ack_event` (when set) tags the whole
-    // per-segment exchange as the coordinator waiting on that ack.
-    const WaitContext* commit_wait_ctx = CurrentWaitContext();
+    // COMMIT PREPARED everywhere. Phases fan out in parallel over runtime
+    // workers, as the real dispatcher does over its gang.
+    // Every participant runs under the session's wait context so per-segment
+    // ack waits attribute to this session; `ack_event` (when set) tags the
+    // whole per-segment exchange as the coordinator waiting on that ack.
+    const WaitContext commit_wait = InheritWaitContext();
     auto fanout = [&](WaitEvent ack_event, auto&& fn) -> std::vector<Status> {
       std::vector<Status> results(participants.size());
-      std::vector<std::thread> threads;
-      threads.reserve(participants.size());
-      for (size_t i = 0; i < participants.size(); ++i) {
-        threads.emplace_back([&, i] {
-          WaitContext wctx;
-          if (commit_wait_ctx != nullptr) wctx = *commit_wait_ctx;
-          WaitContextGuard guard(wctx);
-          std::unique_ptr<WaitEventScope> ack_wait;
-          if (ack_event != WaitEvent::kNone) {
-            ack_wait = std::make_unique<WaitEventScope>(ack_event, participants[i]);
-          }
-          results[i] = fn(participants[i]);
-        });
-      }
-      for (auto& t : threads) t.join();
+      cluster_->runtime().ParallelFor(
+          participants.size(), [&](size_t) { return commit_wait; },
+          [&](size_t i) {
+            std::optional<WaitEventScope> ack_wait;
+            if (ack_event != WaitEvent::kNone) ack_wait.emplace(ack_event, participants[i]);
+            results[i] = fn(participants[i]);
+          });
       return results;
     };
 
@@ -1345,44 +1337,7 @@ StatusOr<QueryResult> Session::ExecuteUpdate(
     // leave the old-home versions visible but committed-dead — the write
     // would silently match zero rows. Re-snapshot now that the lock is held.
     GPHTAP_RETURN_IF_ERROR(TakeStatementSnapshot());
-    std::vector<int> segs = TargetSegmentsForWrite(def, where);
-    std::vector<Status> results(segs.size());
-    std::vector<int64_t> counts(segs.size(), 0);
-    std::vector<std::thread> threads;
-    for (size_t i = 0; i < segs.size(); ++i) {
-      cluster_->net().Deliver(MsgKind::kDispatch);
-    }
-    if (segs.size() == 1) {
-      GPHTAP_RETURN_IF_ERROR(
-          DmlWorker(cluster_->segment(segs[0]), def, &sets, where, &counts[0]));
-    } else {
-      // Parallel per-segment workers, like the dispatcher's gangs. A worker
-      // may block on another transaction mid-statement while its siblings keep
-      // running — the behaviour the global deadlock cases exercise. Each
-      // inherits the session's wait context so its lock waits attribute here.
-      const WaitContext* dml_wait_ctx = CurrentWaitContext();
-      for (size_t i = 0; i < segs.size(); ++i) {
-        threads.emplace_back([&, i] {
-          WaitContext wctx;
-          if (dml_wait_ctx != nullptr) wctx = *dml_wait_ctx;
-          wctx.node = segs[i];
-          WaitContextGuard guard(wctx);
-          results[i] = DmlWorker(cluster_->segment(segs[i]), def, &sets, where, &counts[i]);
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    for (size_t i = 0; i < segs.size(); ++i) {
-      cluster_->net().Deliver(MsgKind::kResult);
-    }
-    int64_t total = 0;
-    for (int64_t c : counts) total += c;
-    for (const Status& s : results) {
-      GPHTAP_RETURN_IF_ERROR(s);
-    }
-    QueryResult r;
-    r.affected = total;
-    return r;
+    return DispatchDml(def, &sets, where);
   });
 }
 
@@ -1394,38 +1349,47 @@ StatusOr<QueryResult> Session::ExecuteDelete(const TableDef& def, const ExprPtr&
     GPHTAP_RETURN_IF_ERROR(LockRelationCoordinator(def, mode));
     // Same lock-then-rescan rule as UPDATE (see above).
     GPHTAP_RETURN_IF_ERROR(TakeStatementSnapshot());
-    std::vector<int> segs = TargetSegmentsForWrite(def, where);
-    std::vector<Status> results(segs.size());
-    std::vector<int64_t> counts(segs.size(), 0);
-    for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kDispatch);
-    if (segs.size() == 1) {
-      GPHTAP_RETURN_IF_ERROR(
-          DmlWorker(cluster_->segment(segs[0]), def, nullptr, where, &counts[0]));
-    } else {
-      std::vector<std::thread> threads;
-      const WaitContext* dml_wait_ctx = CurrentWaitContext();
-      for (size_t i = 0; i < segs.size(); ++i) {
-        threads.emplace_back([&, i] {
-          WaitContext wctx;
-          if (dml_wait_ctx != nullptr) wctx = *dml_wait_ctx;
-          wctx.node = segs[i];
-          WaitContextGuard guard(wctx);
-          results[i] = DmlWorker(cluster_->segment(segs[i]), def, nullptr, where,
-                                 &counts[i]);
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kResult);
-    int64_t total = 0;
-    for (int64_t c : counts) total += c;
-    for (const Status& s : results) {
-      GPHTAP_RETURN_IF_ERROR(s);
-    }
-    QueryResult r;
-    r.affected = total;
-    return r;
+    return DispatchDml(def, nullptr, where);
   });
+}
+
+StatusOr<QueryResult> Session::DispatchDml(
+    const TableDef& def, const std::vector<std::pair<int, ExprPtr>>* sets,
+    const ExprPtr& where) {
+  std::vector<int> segs = TargetSegmentsForWrite(def, where);
+  std::vector<Status> results(segs.size());
+  std::vector<int64_t> counts(segs.size(), 0);
+  for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kDispatch);
+  if (segs.size() == 1) {
+    GPHTAP_RETURN_IF_ERROR(
+        DmlWorker(cluster_->segment(segs[0]), def, sets, where, &counts[0]));
+  } else {
+    // Parallel per-segment workers, like the dispatcher's gangs. A worker may
+    // block on another transaction mid-statement while its siblings keep
+    // running — the behaviour the global deadlock cases exercise. Each runs
+    // under the session's wait context relabeled with its segment, so its
+    // lock waits attribute here.
+    const WaitContext dml_wait = InheritWaitContext();
+    cluster_->runtime().ParallelFor(
+        segs.size(),
+        [&](size_t i) {
+          WaitContext wctx = dml_wait;
+          wctx.node = segs[i];
+          return wctx;
+        },
+        [&](size_t i) {
+          results[i] = DmlWorker(cluster_->segment(segs[i]), def, sets, where, &counts[i]);
+        });
+  }
+  for (size_t i = 0; i < segs.size(); ++i) cluster_->net().Deliver(MsgKind::kResult);
+  int64_t total = 0;
+  for (int64_t c : counts) total += c;
+  for (const Status& s : results) {
+    GPHTAP_RETURN_IF_ERROR(s);
+  }
+  QueryResult r;
+  r.affected = total;
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -1535,7 +1499,7 @@ StatusOr<QueryResult> Session::Execute(const std::string& sql) {
   wait_profile_.Reset();
   stmt_resources_.Reset();
   stmt_plan_cache_hit_ = false;
-  stmt_fingerprint_override_.clear();
+  stmt_fingerprint_.clear();
   // Per-statement retry count: RunReadOnlyStatement resets it too, but write
   // statements never pass through there and must not inherit the previous
   // statement's count.
@@ -1549,10 +1513,10 @@ StatusOr<QueryResult> Session::Execute(const std::string& sql) {
   const uint64_t retries = info_->retries.load(std::memory_order_relaxed);
   std::string fingerprint;
   if (stats_enabled || (threshold_us > 0 && elapsed_us >= threshold_us)) {
-    // EXECUTE of a prepared statement set an override so it accumulates under
-    // the prepared text, not under "execute name($1)".
-    fingerprint = !stmt_fingerprint_override_.empty() ? stmt_fingerprint_override_
-                                                      : FingerprintSql(sql);
+    // Set by the driver during dispatch (see SetStmtFingerprint); statements
+    // that failed before the driver set it are fingerprinted here.
+    fingerprint = !stmt_fingerprint_.empty() ? std::move(stmt_fingerprint_)
+                                             : FingerprintSql(sql);
   }
   if (stats_enabled) {
     StatementStatsRegistry::Sample sample;
@@ -1568,7 +1532,7 @@ StatusOr<QueryResult> Session::Execute(const std::string& sql) {
     sample.elapsed_us = elapsed_us;
     sample.resources = &stmt_resources_;
     sample.top_waits = wait_profile_.Top(3);
-    cluster_->statement_stats().Record(fingerprint, sample);
+    cluster_->statement_stats().Record(fingerprint, sample, static_cast<uint64_t>(info_->id));
   }
   if (threshold_us > 0 && elapsed_us >= threshold_us) {
     std::vector<SlowQueryLog::WaitItem> waits;

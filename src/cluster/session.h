@@ -172,9 +172,10 @@ class Session {
   /// The statement was served from the plan cache (or a prepared statement's
   /// generic plan) instead of being planned fresh.
   void NoteStmtPlanCacheHit() { stmt_plan_cache_hit_ = true; }
-  /// Overrides the fingerprint the statement is accumulated under (EXECUTE of
-  /// a prepared statement attributes to the prepared text).
-  void SetStmtFingerprint(const std::string& fp) { stmt_fingerprint_override_ = fp; }
+  /// Sets the fingerprint the statement is accumulated under: the driver's
+  /// rendering of the parsed text, or for EXECUTE of a prepared statement the
+  /// prepared text's. Unset, Execute() fingerprints the raw text itself.
+  void SetStmtFingerprint(std::string fp) { stmt_fingerprint_ = std::move(fp); }
 
  private:
   // Wraps a statement in an implicit transaction when none is open.
@@ -230,6 +231,11 @@ class Session {
   // visible). Honors cancellation and the statement deadline.
   Status WaitForDistributedCommitOf(Segment* seg, LocalXid xid);
 
+  // UPDATE (`sets` set) or DELETE (`sets` null) on every target segment: one
+  // segment runs inline, several fan out over the cluster runtime.
+  StatusOr<QueryResult> DispatchDml(const TableDef& def,
+                                    const std::vector<std::pair<int, ExprPtr>>* sets,
+                                    const ExprPtr& where);
   // The per-segment UPDATE/DELETE worker: finds visible matching tuples and
   // stamps them, waiting on tuple/transaction locks as PostgreSQL does.
   Status DmlWorker(Segment* seg, const TableDef& def,
@@ -352,7 +358,7 @@ class Session {
   // Execute() at statement start, read at statement end.
   StatementResources stmt_resources_;
   bool stmt_plan_cache_hit_ = false;
-  std::string stmt_fingerprint_override_;
+  std::string stmt_fingerprint_;
 };
 
 }  // namespace gphtap

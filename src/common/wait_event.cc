@@ -141,6 +141,10 @@ thread_local WaitContext* tls_wait_context = nullptr;
 
 WaitContext* CurrentWaitContext() { return tls_wait_context; }
 
+WaitContext InheritWaitContext() {
+  return tls_wait_context != nullptr ? *tls_wait_context : WaitContext{};
+}
+
 Status CheckAmbientInterrupt() {
   WaitContext* ctx = tls_wait_context;
   if (ctx == nullptr || ctx->owner == nullptr) return Status::OK();

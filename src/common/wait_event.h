@@ -165,6 +165,10 @@ inline constexpr int64_t kInterruptPollUs = 5000;
 /// session updates trace/parent_span in place as a query progresses.
 WaitContext* CurrentWaitContext();
 
+/// A copy of the thread's installed context (a default one when none is), for
+/// handing to a task that runs on another thread on this thread's behalf.
+WaitContext InheritWaitContext();
+
 /// Installs `ctx` as the thread's wait context for the guard's lifetime and
 /// restores the previous one after. With `only_if_absent`, an already-installed
 /// context wins and the guard is a no-op — session entry points use this so

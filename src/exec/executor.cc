@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_map>
 
 #include "common/clock.h"
@@ -536,32 +535,30 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
     }
   };
 
-  // Producer threads: one per (motion, gang member). Each inherits the
-  // caller's ambient wait context (registry / session / profile sinks) so
-  // blocking inside a slice — motion back-pressure, segment locks, buffer
-  // misses — is attributed to the owning statement, relabeled with the
-  // segment it happened on and parented under the slice's span.
+  // Producer slices: one per (motion, gang member), each on a runtime worker.
+  // Each inherits the caller's ambient wait context (registry / session /
+  // profile sinks) so blocking inside a slice — motion back-pressure, segment
+  // locks, buffer misses — is attributed to the owning statement, relabeled
+  // with the segment it happened on and parented under the slice's span.
   const WaitContext* caller_wait = CurrentWaitContext();
   // Statement-level resource accumulator (gp_stat_statements): inherited from
   // the session's wait context, shared by every slice of the gang.
   StatementResources* res = caller_wait != nullptr ? caller_wait->resources : nullptr;
-  std::vector<std::thread> producers;
+  ExecRuntime::TaskGroup producers(&cluster->runtime());
   for (const PlanNode* m : motions) {
     for (size_t gi = 0; gi < plan.gang.size(); ++gi) {
       int seg_index = plan.gang[gi];
-      producers.emplace_back([&, m, gi, seg_index] {
-        uint64_t span = 0;
-        if (trace != nullptr) {
-          span = trace->StartSpan("slice:motion" + std::to_string(m->motion_id),
-                                  parent_span, seg_index);
-        }
-        WaitContext slice_wait;
-        if (caller_wait != nullptr) slice_wait = *caller_wait;
-        slice_wait.node = seg_index;
-        slice_wait.trace = trace;
-        slice_wait.parent_span = span;
-        slice_wait.owner = owner.get();
-        WaitContextGuard wait_guard(slice_wait);
+      uint64_t span = 0;
+      if (trace != nullptr) {
+        span = trace->StartSpan("slice:motion" + std::to_string(m->motion_id),
+                                parent_span, seg_index);
+      }
+      WaitContext slice_wait = InheritWaitContext();
+      slice_wait.node = seg_index;
+      slice_wait.trace = trace;
+      slice_wait.parent_span = span;
+      slice_wait.owner = owner.get();
+      producers.Spawn(slice_wait, [&, m, gi, seg_index, span] {
         // Service pin for the whole slice: a down segment fails the query with
         // a retryable error instead of reading torn state mid-recovery. Goes
         // through the per-segment circuit breaker when one is configured.
@@ -665,8 +662,7 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
   // Top slice on the caller's thread (coordinator). Re-install the caller's
   // wait context with the owner attached so motion waits on this thread are
   // interruptible even when the caller never set one up (tests, benches).
-  WaitContext top_wait;
-  if (caller_wait != nullptr) top_wait = *caller_wait;
+  WaitContext top_wait = InheritWaitContext();
   top_wait.owner = owner.get();
   WaitContextGuard top_wait_guard(top_wait);
   ExecContext top;
@@ -720,7 +716,7 @@ Status ExecutePlan(Cluster* cluster, const QueryPlan& plan, Gxid gxid,
   // Unblock any still-running producers (error path, or LIMIT stopped the
   // consumer before draining) and join them.
   for (auto& [id, ex] : exchanges) ex->Abort();
-  for (auto& t : producers) t.join();
+  producers.Wait();
   cluster->UnregisterExchanges(gxid);
 
   // Interconnect blocked time, attributed per motion so EXPLAIN ANALYZE can

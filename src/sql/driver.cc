@@ -855,7 +855,14 @@ StatusOr<QueryResult> RunExecutePrepared(Session* session,
 }  // namespace
 
 StatusOr<QueryResult> ExecuteSql(Session* session, const std::string& sql) {
-  GPHTAP_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
+  GPHTAP_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
+  // gp_stat_statements keys on the fingerprint: render it from this lexer
+  // pass rather than lexing the text again at statement end. EXECUTE is
+  // attributed to the prepared text instead (RunExecutePrepared).
+  if (session->cluster()->options().stats_enabled && !tokens.front().IsWord("execute")) {
+    session->SetStmtFingerprint(FingerprintTokens(sql, tokens));
+  }
+  GPHTAP_ASSIGN_OR_RETURN(Statement stmt, ParseTokens(std::move(tokens)));
   return DispatchStatement(session, stmt, &sql);
 }
 

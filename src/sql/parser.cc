@@ -827,6 +827,10 @@ class Parser {
 
 StatusOr<sql_ast::Statement> ParseStatement(const std::string& sql) {
   GPHTAP_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
+  return ParseTokens(std::move(tokens));
+}
+
+StatusOr<sql_ast::Statement> ParseTokens(std::vector<Token> tokens) {
   Parser parser(std::move(tokens));
   return parser.Parse();
 }

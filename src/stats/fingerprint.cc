@@ -44,8 +44,10 @@ bool NoSpaceAfter(const Token& t) {
 std::string FingerprintSql(const std::string& sql) {
   auto tokens_or = Tokenize(sql);
   if (!tokens_or.ok()) return CollapsedRaw(sql);
-  const std::vector<Token>& tokens = *tokens_or;
+  return FingerprintTokens(sql, *tokens_or);
+}
 
+std::string FingerprintTokens(const std::string& sql, const std::vector<Token>& tokens) {
   // `PREPARE name AS <stmt>` fingerprints as <stmt>, so the PREPARE statement
   // and its EXECUTEs (attributed via the stored fingerprint) share one row.
   size_t begin = 0;

@@ -11,6 +11,9 @@
 #define GPHTAP_STATS_FINGERPRINT_H_
 
 #include <string>
+#include <vector>
+
+#include "sql/lexer.h"
 
 namespace gphtap {
 
@@ -27,6 +30,10 @@ namespace gphtap {
 /// A statement the lexer rejects falls back to lowercased,
 /// whitespace-collapsed raw text (still a stable key, just unnormalized).
 std::string FingerprintSql(const std::string& sql);
+
+/// FingerprintSql for a statement already lexed into `tokens` (Tokenize of
+/// `sql`), so the SQL driver renders it from the parser's own lexer pass.
+std::string FingerprintTokens(const std::string& sql, const std::vector<Token>& tokens);
 
 }  // namespace gphtap
 

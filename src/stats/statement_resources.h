@@ -31,9 +31,10 @@ struct StatementResources {
     slices_.Record(us);
   }
 
-  Histogram slice_histogram() const {
+  /// Adds this statement's slice distribution into `out` (no copy).
+  void MergeSlicesInto(Histogram* out) const {
     std::lock_guard<std::mutex> lock(mu_);
-    return slices_;
+    out->Merge(slices_);
   }
 
   void Reset() {

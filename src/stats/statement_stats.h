@@ -6,13 +6,24 @@
 // motion bytes, buffer hits+misses, per-wait-event time). Bounded at
 // `capacity` distinct fingerprints; the tail spills into one "<overflow>"
 // bucket so a fingerprint flood cannot grow memory without bound.
+//
+// The slots are striped by session: a few hot fingerprints (BEGIN, COMMIT,
+// the prepared statements of an OLTP mix) are shared by every session, and
+// one set of shared slots would put a contended mutex and cache lines written
+// from every core on each statement. Each session records into the stripe its
+// id picks, so concurrent sessions rarely share a mutex or a slot, and
+// Snapshot() merges the stripes. Memory stays bounded by stripes x capacity
+// slots, however many sessions there are.
 #ifndef GPHTAP_STATS_STATEMENT_STATS_H_
 #define GPHTAP_STATS_STATEMENT_STATS_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/histogram.h"
@@ -61,7 +72,10 @@ class StatementStatsRegistry {
     int64_t top_wait_us = 0;
   };
 
-  void Record(const std::string& fingerprint, const Sample& sample);
+  /// Accumulates `sample` under `fingerprint`. Concurrent callers pass
+  /// different `stripe` values (the session id) to stay off each other's
+  /// slots; any value is correct.
+  void Record(const std::string& fingerprint, const Sample& sample, uint64_t stripe = 0);
 
   /// Copies of every entry, sorted by total_us descending.
   std::vector<Entry> Snapshot() const;
@@ -88,11 +102,27 @@ class StatementStatsRegistry {
     uint64_t buffer_hits = 0;
     uint64_t buffer_misses = 0;
     std::map<WaitEvent, int64_t> wait_us;
+
+    void Add(const Sample& sample);
+    void Merge(const Slot& other);
   };
+  struct alignas(64) Stripe {
+    mutable std::mutex mu;
+    // Only admitted fingerprints and the overflow key, so a hit needs no
+    // registry-wide lock.
+    std::unordered_map<std::string, Slot> slots;
+  };
+  static constexpr size_t kStripes = 16;
+
+  /// The key `fingerprint` accumulates under: itself while fewer than
+  /// `capacity_` fingerprints are admitted, else the overflow bucket.
+  const std::string& KeyFor(const std::string& fingerprint);
+  static Entry ToEntry(const std::string& fingerprint, const Slot& s);
 
   const size_t capacity_;
-  mutable std::mutex mu_;
-  std::map<std::string, Slot> slots_;
+  std::array<Stripe, kStripes> stripes_;
+  std::mutex admit_mu_;  // taken inside a stripe's mu, never around one
+  std::unordered_set<std::string> admitted_;
 };
 
 }  // namespace gphtap

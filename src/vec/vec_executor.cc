@@ -8,7 +8,6 @@
 #include <mutex>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -190,17 +189,18 @@ Status ExecSeqScanVecMorsel(const PlanNode& node, ExecContext& ctx, AoColumnTabl
   MorselQueue q;
   q.capacity = static_cast<size_t>(workers) * 2;
   q.active_workers = workers;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
+  // Decode workers run on the cluster runtime under the slice's wait context.
+  const WaitContext worker_wait = InheritWaitContext();
+  ExecRuntime::TaskGroup pool(&ctx.cluster->runtime());
   const Expr* filter = node.filter.get();
   for (int w = 0; w < workers; ++w) {
-    pool.emplace_back(MorselWorker, &q, aoc, vis, std::cref(cols), filter, num_groups);
+    pool.Spawn(worker_wait, [&q, aoc, &vis, &cols, filter, num_groups] {
+      MorselWorker(&q, aoc, vis, cols, filter, num_groups);
+    });
   }
-  if (ctx.cluster != nullptr) {
-    MetricsRegistry& m = ctx.cluster->metrics();
-    m.counter("vec.morsels")->Add(num_groups);
-    m.counter("vec.morsel_workers")->Add(static_cast<uint64_t>(workers));
-  }
+  MetricsRegistry& m = ctx.cluster->metrics();
+  m.counter("vec.morsels")->Add(num_groups);
+  m.counter("vec.morsel_workers")->Add(static_cast<uint64_t>(workers));
 
   Status result = Status::OK();
   for (size_t gi = 0; gi < num_groups; ++gi) {
@@ -235,7 +235,7 @@ Status ExecSeqScanVecMorsel(const PlanNode& node, ExecContext& ctx, AoColumnTabl
     q.stop = true;
     q.cv.notify_all();
   }
-  for (auto& th : pool) th.join();
+  pool.Wait();
   GPHTAP_RETURN_IF_ERROR(result);
 
   int64_t visible_rows = q.visible_rows.load(std::memory_order_relaxed);

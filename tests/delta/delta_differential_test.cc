@@ -16,25 +16,10 @@
 
 #include "cluster/cluster.h"
 #include "cluster/session.h"
+#include "common/exact_row_text.h"
 
 namespace gphtap {
 namespace {
-
-std::string RowText(const Row& row) {
-  std::string s;
-  for (const Datum& d : row) {
-    s += d.is_null() ? "NULL" : d.ToString();
-    s += "|";
-  }
-  return s;
-}
-
-std::vector<std::string> SortedRows(const QueryResult& r) {
-  std::vector<std::string> out;
-  for (const Row& row : r.rows) out.push_back(RowText(row));
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 void RunSeed(uint32_t seed) {
   ClusterOptions options;

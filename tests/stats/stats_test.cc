@@ -164,6 +164,39 @@ TEST(StatementStatsTest, CapacityOverflowSpillsIntoOneBucket) {
   EXPECT_EQ(overflow_calls, 2u);
 }
 
+TEST(StatementStatsTest, StripesMergeIntoOneEntryPerFingerprint) {
+  StatementStatsRegistry reg(/*capacity=*/2);
+  StatementStatsRegistry::Sample fast;
+  fast.elapsed_us = 10;
+  StatementStatsRegistry::Sample slow;
+  slow.elapsed_us = 30;
+  // Sessions 1, 2 and 17 record the same fingerprint; the capacity counts
+  // fingerprints, not (fingerprint, stripe) pairs.
+  reg.Record("q", slow, /*stripe=*/1);
+  reg.Record("q", fast, /*stripe=*/2);
+  reg.Record("q", fast, /*stripe=*/17);
+  reg.Record("r", fast, /*stripe=*/3);
+  reg.Record("s", fast, /*stripe=*/1);
+  reg.Record("t", fast, /*stripe=*/4);
+
+  auto entries = reg.Snapshot();
+  ASSERT_EQ(entries.size(), 3u);  // q, r, <overflow>
+  EXPECT_EQ(entries[0].fingerprint, "q");
+  EXPECT_EQ(entries[0].calls, 3u);
+  EXPECT_EQ(entries[0].total_us, 50);
+  EXPECT_EQ(entries[0].min_us, 10);
+  EXPECT_EQ(entries[0].max_us, 30);
+  for (const auto& e : entries) {
+    if (e.fingerprint == "<overflow>") EXPECT_EQ(e.calls, 2u);
+  }
+
+  reg.Reset();
+  EXPECT_TRUE(reg.Snapshot().empty());
+  reg.Record("t", fast, /*stripe=*/5);  // capacity is free again
+  ASSERT_EQ(reg.Snapshot().size(), 1u);
+  EXPECT_EQ(reg.Snapshot()[0].fingerprint, "t");
+}
+
 TEST(StatementStatsTest, SnapshotSortsByTotalTimeDescending) {
   StatementStatsRegistry reg;
   StatementStatsRegistry::Sample cheap;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,48 +13,11 @@
 
 #include "cluster/cluster.h"
 #include "cluster/session.h"
+#include "common/exact_row_text.h"
 #include "common/rng.h"
 
 namespace gphtap {
 namespace {
-
-std::string RowText(const Row& row) {
-  std::string s;
-  for (const Datum& d : row) {
-    s += d.is_null() ? "NULL" : d.ToString();
-    s += "|";
-  }
-  return s;
-}
-
-std::vector<std::string> SortedRows(const QueryResult& r) {
-  std::vector<std::string> out;
-  for (const Row& row : r.rows) out.push_back(RowText(row));
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-// Like SortedRows, but doubles print with every significant digit, so values
-// that agree in their first six digits still read differently.
-std::vector<std::string> SortedExactRows(const QueryResult& r) {
-  std::vector<std::string> out;
-  for (const Row& row : r.rows) {
-    std::string s;
-    for (const Datum& d : row) {
-      if (d.is_double()) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", d.double_val());
-        s += buf;
-      } else {
-        s += d.is_null() ? "NULL" : d.ToString();
-      }
-      s += "|";
-    }
-    out.push_back(std::move(s));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 // Random arithmetic term over the int columns (k, grp, v). Division and modulus
 // use non-zero constants so generated predicates stay error-free — error parity
@@ -286,7 +248,7 @@ class EnginePair {
   QueryResult Agree(const std::string& sql, const std::string& context) {
     QueryResult vec, row;
     if (!Run(sql, &vec, &row)) return vec;
-    EXPECT_EQ(SortedExactRows(vec), SortedExactRows(row)) << context << ": " << sql;
+    EXPECT_EQ(SortedRows(vec), SortedRows(row)) << context << ": " << sql;
     return vec;
   }
 
@@ -355,11 +317,11 @@ TEST(VecDifferentialTest, HashAggregationAgreesAcrossEngines) {
     engines.Agree("SELECT DISTINCT grp FROM g ORDER BY grp LIMIT 50", ctx);
     // Without ORDER BY, LIMIT may pick any distinct rows: each engine must
     // return that many, all different, all from the full distinct set.
-    const std::vector<std::string> full = SortedExactRows(all_ab);
+    const std::vector<std::string> full = SortedRows(all_ab);
     QueryResult vec, row;
     ASSERT_TRUE(engines.Run("SELECT DISTINCT a, b FROM g LIMIT 7", &vec, &row));
     for (const QueryResult* r : {&vec, &row}) {
-      const std::vector<std::string> got = SortedExactRows(*r);
+      const std::vector<std::string> got = SortedRows(*r);
       EXPECT_EQ(got.size(), std::min<size_t>(7, full.size())) << ctx;
       EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end()) << ctx;
       EXPECT_TRUE(std::includes(full.begin(), full.end(), got.begin(), got.end())) << ctx;
